@@ -12,7 +12,6 @@ Exit codes: 0 success (a fit that reports converged=false is still data),
 
 All trace CSVs print floats with repr() so parse -> emit -> parse is the
 identity, and every output file is written atomically (temp file + rename).
-LINECANCEL_THREADS caps the worker count for internal sweeps.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -85,19 +83,6 @@ class InputError(Exception):
 
 # ---------------------------------------------------------------------------
 # file plumbing
-
-def _thread_count():
-    raw = os.environ.get("LINECANCEL_THREADS")
-    if raw is None:
-        return min(8, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"LINECANCEL_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise InputError(f"LINECANCEL_THREADS must be >= 1, got {n}")
-    return n
-
 
 def _atomic_write(path, text):
     directory = os.path.dirname(os.path.abspath(path))
@@ -541,42 +526,23 @@ _FIGS2_NBAR = 6.0
 def _figure_figS2(out, seed_override):
     del seed_override  # fully deterministic, no sampling
     tau_grid = np.linspace(0.006, 0.096, 16)
-    mod_by_n = {n: ModulationParams.from_hz(a, _F_LINE) for n, a in _FIGS2_SETS}
     heating = HeatingModel(_FIGS2_NBAR)
     phases = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-
-    # Warm the envelope caches before threading; the workers then only read.
-    for n, _ in _FIGS2_SETS:
-        cached_heating_envelope(n, _FIGS2_NBAR, np.array([1e-4]))
-
-    def one_point(job):
-        n, tau = job
-        seq = CPSequence(n, float(tau))
-        spec = SequenceSpec(seq, mod_by_n[n], heating)
-        c_tot = float(np.mean(run_sequence_phases(spec, phases)))
-        c_heat = float(cached_heating_envelope(n, _FIGS2_NBAR, np.array([tau]))[0])
-        c_mod = analytic_signal(seq, mod_by_n[n])
-        return n, float(tau), c_tot, c_heat, c_mod
-
-    jobs = [(n, tau) for n, _ in _FIGS2_SETS for tau in tau_grid]
-    with ThreadPoolExecutor(max_workers=_thread_count()) as pool:
-        results = list(pool.map(one_point, jobs))
-
     summary = {}
-    for n, _ in _FIGS2_SETS:
+    for n, a_hz in _FIGS2_SETS:
+        mod = ModulationParams.from_hz(a_hz, _F_LINE)
         rows = []
-        worst = 0.0
-        for rn, tau, c_tot, c_heat, c_mod in results:
-            if rn != n:
-                continue
+        for tau in tau_grid:
+            seq = CPSequence(n, float(tau))
+            c_tot = float(np.mean(run_sequence_phases(SequenceSpec(seq, mod, heating), phases)))
+            c_heat = float(cached_heating_envelope(n, _FIGS2_NBAR, np.array([tau]))[0])
+            c_mod = analytic_signal(seq, mod)
             product = c_heat * c_mod
-            diff = abs(c_tot - product)
-            worst = max(worst, diff)
-            rows.append((tau, c_tot, c_heat, c_mod, product, diff))
+            rows.append((float(tau), c_tot, c_heat, c_mod, product, abs(c_tot - product)))
         _write_csv(os.path.join(out, f"figS2_n{n}.csv"),
                    ["tau_s", "c_total", "c_heat", "c_mod", "product", "abs_diff"],
                    rows)
-        summary[f"n{n}"] = {"max_abs_diff": worst}
+        summary[f"n{n}"] = {"max_abs_diff": max(row[-1] for row in rows)}
     _write_json(os.path.join(out, "figS2_summary.json"), summary)
 
 

@@ -142,8 +142,8 @@ def test_criterion_05_product_model():
     """Full simulation vs heating-envelope times contrast, <= 0.02 over
     tau in (0, 0.1] for the product-scan sets (n = 0, 1, 2) at 6/s.
 
-    KNOWN RED.  The free evolution factorizes exactly (pinned elsewhere at
-    integrator error), but the pulses do not: heated population is
+    KNOWN RED.  The free evolution factorizes exactly (checked elsewhere on
+    an independent RK4 integration), but the pulses do not: heated population is
     over-rotated by the sqrt(n+1) carrier scaling, and population relaxing
     into the sideband-dark |up, 0> state stops toggling entirely.  Both paths
     then interfere with the intended sequence, and the deviation reaches a

@@ -199,6 +199,21 @@ def test_figures_fig2a_bundle(tmp_path):
     assert fit["params"]["A_over_2pi"] == pytest.approx(53.9, abs=5.0)
 
 
+def test_figures_figS2_product_scan(tmp_path):
+    assert run("figures", "--id", "figS2", "--out", tmp_path) == 0
+    summary = json.loads(read(tmp_path / "figS2_summary.json"))
+    for n in (0, 1, 2):
+        lines = read(tmp_path / f"figS2_n{n}.csv").strip().split("\n")
+        assert lines[0] == "tau_s,c_total,c_heat,c_mod,product,abs_diff"
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (16, 6)
+        assert np.allclose(rows[:, 4], rows[:, 2] * rows[:, 3], rtol=0.0, atol=1e-15)
+        assert np.allclose(rows[:, 5], np.abs(rows[:, 1] - rows[:, 4]), rtol=0.0, atol=1e-15)
+        assert summary[f"n{n}"]["max_abs_diff"] == rows[:, 5].max()
+    # the echo scan is where the product model breaks by tenths (criterion 5)
+    assert summary["n1"]["max_abs_diff"] > 0.1
+
+
 def test_figures_figS3a_monitor(tmp_path):
     assert run("figures", "--id", "figS3a", "--out", tmp_path) == 0
     summary = json.loads(read(tmp_path / "figS3a_summary.json"))
@@ -211,19 +226,6 @@ def test_figures_figS3a_monitor(tmp_path):
 
 
 # ------------------------------------------------------------------ plumbing
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.delenv("LINECANCEL_THREADS", raising=False)
-    assert cli._thread_count() >= 1
-    monkeypatch.setenv("LINECANCEL_THREADS", "3")
-    assert cli._thread_count() == 3
-    monkeypatch.setenv("LINECANCEL_THREADS", "0")
-    with pytest.raises(cli.InputError):
-        cli._thread_count()
-    monkeypatch.setenv("LINECANCEL_THREADS", "abc")
-    with pytest.raises(cli.InputError):
-        cli._thread_count()
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import linecancel.quantum_sim as qs
 from linecancel.model_core import TWO_PI, CPSequence, HeatingModel, ModulationParams
@@ -23,6 +25,8 @@ from linecancel.quantum_sim import (
     run_sequence_phases,
     sideband_pulse,
 )
+
+import oracles
 
 CUTOFF = 10
 M = CUTOFF + 1
@@ -114,16 +118,57 @@ def test_phonon_growth_rate():
     assert mean_phonon(rho) == pytest.approx(0.30, rel=0.02)
 
 
-def test_integrator_step_halving_is_converged(monkeypatch):
-    spec = SequenceSpec(
-        CPSequence(1, 0.0173),
-        ModulationParams(TWO_PI * 53.9, TWO_PI * 60.0),
-        HeatingModel(6.0),
-    )
-    coarse = run_sequence(spec, phi=0.8)
-    monkeypatch.setattr(qs, "_STEP_SCALE", 2.0)
-    fine = run_sequence(spec, phi=0.8)
-    assert abs(coarse - fine) <= 1e-7
+def test_integrator_step_halving_is_converged():
+    """The exact segment propagator against the independent RK4 oracle.
+
+    Both the RK4 at its production step and at half that step must sit within
+    1e-8 of the exact signal, and halving the step must shrink the gap by
+    about 16 (fourth order): the integrator converges onto the exact result.
+    Covers every pulse count 0..3, heated and heating-free, physical and
+    ideal pulses, and two Fock cutoffs.
+    """
+    amp, omega = TWO_PI * 53.9, TWO_PI * 60.0
+    phis = np.array([0.3, 1.9, 4.4])
+    tau, analyzer = 0.006, 0.4
+    for cutoff in (8, 10):
+        for ideal in (False, True):
+            for gamma in (0.0, 30.0):
+                for n in range(4):
+                    case = (cutoff, ideal, gamma, n)
+                    exact = qs._sequence_signals(n, tau, amp, omega, phis, gamma, cutoff, analyzer, ideal)
+                    gaps = [
+                        np.max(np.abs(exact - oracles.rk4_sequence_signal(
+                            n, tau, amp, omega, phis, gamma, cutoff, analyzer, ideal, step_scale)))
+                        for step_scale in (1.0, 2.0)
+                    ]
+                    assert max(gaps) <= 1e-8, case
+                    assert gaps[1] <= gaps[0] / 8.0, case
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(0, 3),
+    tau=st.floats(1e-3, 0.1),
+    amplitude_hz=st.floats(0.0, 100.0),
+    nbar_dot=st.floats(0.0, 50.0),
+    phi=st.floats(0.0, TWO_PI),
+)
+def test_heated_sequence_state_stays_physical(n, tau, amplitude_hz, nbar_dot, phi):
+    """After a full heated sequence rho keeps unit trace, stays Hermitian and
+    has no eigenvalue below -1e-10, for any pulse count, duration, modulation
+    amplitude and heating rate >= 0.
+    """
+    seq = CPSequence(n, tau)
+    mod = ModulationParams.from_hz(amplitude_hz, 60.0, phi)
+    heating = HeatingModel(nbar_dot)
+    edges = seq.segment_edges()
+    rho = sideband_pulse(initial_state(), math.pi / 2.0)
+    for i in range(len(edges) - 1):
+        rho = free_evolution(rho, edges[i + 1] - edges[i], mod, heating, t_start=edges[i])
+        if i < len(edges) - 2:
+            rho = sideband_pulse(rho, math.pi)
+    rho = sideband_pulse(rho, math.pi / 2.0)
+    assert check_density_matrix(rho, tol=1e-10)
 
 
 # -------------------------------------------------------- sequence contract
@@ -140,7 +185,7 @@ def test_perfect_sequence_reads_plus_one():
 
 
 def test_heating_free_signal_matches_accumulated_phase():
-    """Dual route: RK4 density-matrix evolution vs the exact phase integral."""
+    """Dual route: density-matrix sequence (pulses and all) vs the phase integral."""
     mod = ModulationParams(TWO_PI * 53.9, TWO_PI * 60.0)
     seq = CPSequence(1, 0.0173)
     analyzer = 0.4
@@ -252,7 +297,10 @@ def test_pulse_free_evolution_factorizes_exactly():
     heating: rho_mod(T) = V rho_heat(T) V*, V = diag(exp(-i n Phi(T))).
 
     This is the exact statement behind the envelope-times-contrast fitting
-    model; the full sequence only breaks it through the pulses.
+    model, and the one quantum_sim's free-evolution propagator is built on;
+    it is checked here on the RK4 oracle, which integrates the two generators
+    together, so the check is independent of that construction.  The full
+    sequence only breaks the factorization through the pulses.
     """
     amp, omega = TWO_PI * 53.9, TWO_PI * 60.0
     gamma, T = 6.0, 0.0173
@@ -261,10 +309,10 @@ def test_pulse_free_evolution_factorizes_exactly():
     rho0 = np.outer(psi, psi.conj())
     phis = np.array([0.3, 1.9, 4.4])
 
-    rho_mod = qs._evolve_batch(
-        np.broadcast_to(rho0, (3, D, D)).copy(), T, 0.0, amp, omega, phis, np.full(3, gamma), CUTOFF
+    rho_mod = oracles.rk4_free_evolution(
+        np.broadcast_to(rho0, (3, D, D)), T, 0.0, amp, omega, phis, np.full(3, gamma), CUTOFF
     )
-    rho_heat = qs._evolve_batch(rho0.copy(), T, 0.0, 0.0, 1.0, 0.0, gamma, CUTOFF)
+    rho_heat = oracles.rk4_free_evolution(rho0, T, 0.0, 0.0, 1.0, 0.0, gamma, CUTOFF)
 
     nvec = np.tile(np.arange(M, dtype=float), 2)
     for k, phi in enumerate(phis):

@@ -27,8 +27,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .bessel import bessel_j0
 from .estimator import (
+    contrast_model,
+    echo_model,
     fit_amplitude,
     fit_gaussian_envelope,
     fit_phase,
@@ -41,7 +42,7 @@ from .model_core import (
     ModulationParams,
     RamseyTrace,
     analytic_signal,
-    filter_F,
+    bessel_j0,  # noqa: F401  not called here; perfbench/tracing.py wraps this import site
 )
 from .phasor_cancel import (
     DegenerateDataError,
@@ -425,11 +426,6 @@ def _fig2_truth(amp_hz, nbar_dot, seed):
     return reference_truth(seed=seed, noise_mv=amp_hz * 0.38, nbar_dot=nbar_dot)
 
 
-def _model_curve(n, a_hz, nbar_dot, f_m, tau):
-    env = cached_heating_envelope(n, nbar_dot, tau)
-    return env * bessel_j0((a_hz / f_m) * filter_F(n, TWO_PI * f_m * tau))
-
-
 def _figure_fig2(fig_id, out, seed_override):
     n, amp_hz, nbar_dot, seed = _FIG2[fig_id]
     if seed_override is not None:
@@ -444,7 +440,7 @@ def _figure_fig2(fig_id, out, seed_override):
     _write_json(os.path.join(out, f"{fig_id}_fit.json"), _fit_payload("amplitude", result))
 
     fine = np.linspace(1e-4, 0.1, 400)
-    curve = _model_curve(n, result.params["A_over_2pi"], result.params["nbar_dot"], _F_LINE, fine)
+    curve = contrast_model(n, _F_LINE, fine)(result.params["A_over_2pi"], result.params["nbar_dot"])
     _write_csv(os.path.join(out, f"{fig_id}_model.csv"), ["tau_s", "signal"],
                list(zip(fine, curve)))
 
@@ -465,12 +461,8 @@ def _figure_fig3a(out, seed_override):
     _write_json(os.path.join(out, "fig3a_fit.json"), _fit_payload("phase", result))
 
     fine = np.linspace(1e-4, 0.1, 400)
-    a_hz = result.params["A_over_2pi"]
-    gamma = result.params["nbar_dot"]
-    phi_fit = result.params["phi_d"]
-    theta = TWO_PI * _F_LINE * fine
-    acc = (a_hz / _F_LINE) * 4.0 * np.sin(theta / 4.0) ** 2 * np.sin(theta / 2.0 + phi_fit)
-    curve = cached_heating_envelope(1, gamma, fine) * np.cos(acc)
+    params = result.params
+    curve = echo_model(_F_LINE, fine)(params["A_over_2pi"], params["phi_d"], params["nbar_dot"])
     _write_csv(os.path.join(out, "fig3a_model.csv"), ["tau_s", "signal"],
                list(zip(fine, curve)))
 

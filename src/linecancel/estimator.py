@@ -3,13 +3,14 @@
 Four fits, all driven by the same Levenberg-Marquardt core:
 
 * fit_amplitude: phase-averaged contrast vs wait time -> modulation amplitude
-  and heating rate.  The model is the heating envelope times
+  and heating rate, with contrast_model: the heating envelope times
   J0((A/omega_m) F_n(omega_m tau)); the envelope comes from the cached master
   curve in quantum_sim, so each fit iteration costs an interpolation, not a
   density-matrix integration.
 * fit_phase: line-triggered echo signal vs wait time -> amplitude, modulation
-  phase at the sequence start, heating rate.  Multi-start over initial phases;
-  the model is periodic in phi_d and local minima are real.
+  phase at the sequence start, heating rate, with echo_model.  Multi-start
+  over initial phases; the model is periodic in phi_d and local minima are
+  real.
 * fit_phase_slope: unwrapped modulation phase vs trigger delay -> slope, the
   actual noise frequency in rad/s.
 * fit_gaussian_envelope: short-time contrast decay -> Gaussian time constant.
@@ -24,15 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j0
 from .levmar import levenberg_marquardt, weighted_linear_fit
-from .model_core import TWO_PI, CPSequence, RamseyTrace, filter_F, filter_F_general
+from .model_core import TWO_PI, CPSequence, RamseyTrace, bessel_j0, filter_F, filter_F_general
+from .phase_oracle import accumulated_phase_grid
 from .quantum_sim import DEFAULT_FOCK_CUTOFF, cached_heating_envelope
 
 __all__ = [
     "FitResult",
     "SlopeFit",
     "shot_noise_sigma",
+    "contrast_model",
+    "echo_model",
     "fit_amplitude",
     "fit_phase",
     "fit_phase_slope",
@@ -45,6 +48,7 @@ __all__ = [
 _AMP_SCAN_HZ = np.linspace(0.0, 120.0, 25)
 _RATE_SCAN = np.linspace(0.0, 30.0, 7)
 _PHASE_STARTS = 8
+_QUADRATURE_PHASES = np.array([[0.0], [0.5 * math.pi]])
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,63 @@ def _check_weights(trace):
 def _filter_values(n, omega, tau):
     if n <= 3:
         return filter_F(n, omega * tau)
-    return np.array([filter_F_general(CPSequence(n, float(t)), omega) for t in tau])
+    return filter_F_general(CPSequence(n, 1.0), omega * tau)
+
+
+def _fit_result(res, params, n_points):
+    """FitResult of a levenberg_marquardt result; params in the order of res.x."""
+    return FitResult(
+        params=params,
+        sigmas={k: math.sqrt(max(res.cov[i, i], 0.0)) for i, k in enumerate(params)},
+        chi2_reduced=res.cost / max(n_points - len(params), 1),
+        converged=res.converged,
+        n_iterations=res.n_iterations,
+    )
 
 
 def _revival_period(n, f_m):
     # first wait time where the filter returns to zero (full contrast revival)
     firsts = {0: 1.0, 1: 2.0, 2: 2.0, 3: 0.5}
     return firsts.get(n, 2.0) / f_m
+
+
+def contrast_model(n, f_m, tau, fock_cutoff=DEFAULT_FOCK_CUTOFF):
+    """Phase-averaged n-pulse contrast on the wait-time grid tau.
+
+    Returns model(A_over_2pi, nbar_dot) = heating envelope times
+    J0((A/omega_m) F_n(omega_m tau)), with A_over_2pi and f_m in Hz.  The
+    filter values depend on tau only and are computed once; an amplitude
+    array shaped (k, 1) gives k curves at once.
+    """
+    fvals = _filter_values(n, TWO_PI * f_m, tau)
+
+    def model(a_hz, nbar_dot):
+        env = cached_heating_envelope(n, nbar_dot, tau, fock_cutoff)
+        return env * bessel_j0((a_hz / f_m) * fvals)
+
+    return model
+
+
+def echo_model(f_m, tau, fock_cutoff=DEFAULT_FOCK_CUTOFF):
+    """Line-triggered echo signal on the wait-time grid tau.
+
+    Returns model(A_over_2pi, phi_d, nbar_dot) = heating envelope times
+    cos(phi_acc), where phi_acc = (A/omega_m) 4 sin^2(omega_m tau/4)
+    sin(omega_m tau/2 + phi_d) is the echo's accumulated phase and phi_d the
+    modulation phase at the first pi/2 pulse.  phi_acc is taken from
+    accumulated_phase_grid once per grid, at phi_d = 0 and pi/2, and
+    recombined by the sine addition rule on each call.
+    """
+    theta = TWO_PI * f_m * tau
+    # The phase accumulated by a tau-long echo at omega equals that of a
+    # unit-length echo at omega * tau; amplitude = theta makes A/omega = 1.
+    q0, q1 = accumulated_phase_grid(CPSequence(1, 1.0), theta, theta, _QUADRATURE_PHASES)
+
+    def model(a_hz, phi_d, nbar_dot):
+        acc = (a_hz / f_m) * (q0 * math.cos(phi_d) + q1 * math.sin(phi_d))
+        return cached_heating_envelope(1, nbar_dot, tau, fock_cutoff) * np.cos(acc)
+
+    return model
 
 
 def fit_amplitude(trace, n, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
@@ -127,19 +181,13 @@ def fit_amplitude(trace, n, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
         )
     _check_weights(trace)
 
-    omega = TWO_PI * f_m
-    fvals = _filter_values(n, omega, trace.tau)
+    model = contrast_model(n, f_m, trace.tau, fock_cutoff)
     sig = trace.sigma
-
-    def model(a_hz, nbar_dot):
-        env = cached_heating_envelope(n, nbar_dot, trace.tau, fock_cutoff)
-        return env * bessel_j0((a_hz / f_m) * fvals)
 
     # coarse basin scan
     best = None
     for g in _RATE_SCAN:
-        env = cached_heating_envelope(n, g, trace.tau, fock_cutoff)
-        pred = env * bessel_j0((_AMP_SCAN_HZ[:, None] / f_m) * fvals[None, :])
+        pred = model(_AMP_SCAN_HZ[:, None], g)
         chi2 = np.nansum(((trace.signal - pred) / sig) ** 2, axis=1)
         k = int(np.argmin(chi2))
         if best is None or chi2[k] < best[0]:
@@ -151,27 +199,13 @@ def fit_amplitude(trace, n, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
 
     res = levenberg_marquardt(resid, np.array([a0, g0]), floor=np.array([1.0, 1.0]))
     a_hz, nbar_dot = res.x
-    dof = max(trace.tau.size - 2, 1)
-    return FitResult(
-        params={"A_over_2pi": abs(a_hz), "nbar_dot": nbar_dot},
-        sigmas={
-            "A_over_2pi": math.sqrt(max(res.cov[0, 0], 0.0)),
-            "nbar_dot": math.sqrt(max(res.cov[1, 1], 0.0)),
-        },
-        chi2_reduced=res.cost / dof,
-        converged=res.converged,
-        n_iterations=res.n_iterations,
-    )
+    return _fit_result(res, {"A_over_2pi": abs(a_hz), "nbar_dot": nbar_dot}, trace.tau.size)
 
 
 def fit_phase(trace, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
-    """Fit a line-triggered echo trace for (A, phi_d, nbar_dot).
+    """Fit a line-triggered echo trace for (A, phi_d, nbar_dot) with echo_model.
 
-    The accumulated phase of the two-segment echo has the closed form
-    (A/omega) * 4 sin^2(omega tau/4) * sin(omega tau/2 + phi_d), with phi_d
-    the modulation phase at the first pi/2 pulse.  The signal model is
-    envelope * cos(that phase).  Multi-started over 8 initial phases and two
-    amplitude scales.
+    Multi-started over 8 initial phases and two amplitude scales.
 
     Because the readout is a cosine of the accumulated phase, phi_d and
     phi_d + pi produce identical signals at every tau: a single-delay trace
@@ -182,16 +216,11 @@ def fit_phase(trace, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     if f_m <= 0.0:
         raise ValueError(f"f_m must be > 0, got {f_m}")
     _check_weights(trace)
-    omega = TWO_PI * f_m
-    tau = trace.tau
+    model = echo_model(f_m, trace.tau, fock_cutoff)
     sig = trace.sigma
-    half = np.sin(omega * tau / 4.0) ** 2 * 4.0
 
     def resid(x):
-        a_hz, phi_d, nbar_dot = x
-        acc = (a_hz / f_m) * half * np.sin(omega * tau / 2.0 + phi_d)
-        env = cached_heating_envelope(1, nbar_dot, tau, fock_cutoff)
-        return (trace.signal - env * np.cos(acc)) / sig
+        return (trace.signal - model(*x)) / sig
 
     best = None
     floor = np.array([1.0, 1.0, 1.0])
@@ -206,18 +235,8 @@ def fit_phase(trace, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
         a_hz = -a_hz
         phi_d += math.pi
     phi_d %= math.pi  # mod-pi degeneracy; canonical representative
-    dof = max(tau.size - 3, 1)
-    return FitResult(
-        params={"A_over_2pi": a_hz, "phi_d": phi_d, "nbar_dot": nbar_dot},
-        sigmas={
-            "A_over_2pi": math.sqrt(max(best.cov[0, 0], 0.0)),
-            "phi_d": math.sqrt(max(best.cov[1, 1], 0.0)),
-            "nbar_dot": math.sqrt(max(best.cov[2, 2], 0.0)),
-        },
-        chi2_reduced=best.cost / dof,
-        converged=best.converged,
-        n_iterations=best.n_iterations,
-    )
+    params = {"A_over_2pi": a_hz, "phi_d": phi_d, "nbar_dot": nbar_dot}
+    return _fit_result(best, params, trace.tau.size)
 
 
 def fit_phase_slope(delays, period=TWO_PI):

@@ -23,8 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .bessel import bessel_j0
+from scipy.special import j0
 
 __all__ = [
     "ModulationParams",
@@ -220,13 +219,29 @@ def filter_F_general(seq, omega_mod):
     Each free-evolution segment contributes its exact complex integral
     (a difference of complex exponentials), summed with the toggling sign;
     the normalization matches filter_F so that the phase-averaged contrast is
-    J0((amplitude/omega) * F).
+    J0((amplitude/omega) * F).  omega_mod may be an array, giving one value
+    per frequency; since F depends on omega * tau only, the unit-length
+    sequence CPSequence(n, 1.0) at omega * tau gives F_n for a whole tau grid.
     """
-    if not (math.isfinite(omega_mod) and omega_mod > 0.0):
+    omega = np.asarray(omega_mod, dtype=float)
+    if not (np.all(np.isfinite(omega)) and np.all(omega > 0.0)):
         raise ValueError(f"omega_mod must be finite and > 0, got {omega_mod}")
-    edges = seq.segment_edges()
-    expo = np.exp(1j * omega_mod * edges)
-    return float(np.abs(np.sum(seq.segment_signs() * (expo[1:] - expo[:-1]))))
+    expo = np.exp(1j * omega[..., None] * seq.segment_edges())
+    out = np.abs(np.sum(seq.segment_signs() * (expo[..., 1:] - expo[..., :-1]), axis=-1))
+    return float(out) if out.ndim == 0 else out
+
+
+def bessel_j0(z):
+    """J0(z) for real scalar or array argument, from scipy.special.j0.
+
+    Returns a float for scalar input and an ndarray otherwise; raises
+    ValueError if any element is NaN or infinite.
+    """
+    arr = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("bessel_j0 requires finite real arguments")
+    out = j0(arr)
+    return float(out) if out.ndim == 0 else out
 
 
 def analytic_signal(seq, mod):

@@ -14,14 +14,10 @@ import math
 
 import numpy as np
 
-from .model_core import ModulationParams
-
 __all__ = [
     "accumulated_phase",
     "accumulated_phase_grid",
     "phase_averaged_signal",
-    "echo_signal_at_delay",
-    "post_phase_correction",
 ]
 
 
@@ -29,18 +25,17 @@ def accumulated_phase(seq, mod):
     """phi_n(tau) = int_0^tau y_n(t) * amplitude * cos(omega t + phase) dt.
 
     Exact, from segment antiderivatives.  Linear in the modulation amplitude.
+    The scalar case of accumulated_phase_grid.
     """
-    edges = seq.segment_edges()
-    sines = np.sin(mod.omega_mod * edges + mod.phase)
-    per_segment = sines[1:] - sines[:-1]
-    return mod.amplitude / mod.omega_mod * float(np.sum(seq.segment_signs() * per_segment))
+    return float(accumulated_phase_grid(seq, mod.amplitude, mod.omega_mod, mod.phase))
 
 
 def accumulated_phase_grid(seq, amplitude, omega_mod, phases):
     """accumulated_phase evaluated for an array of modulation phases at once.
 
-    Same antiderivative construction as accumulated_phase, vectorized over
-    `phases` (and broadcasting against an equally-shaped `omega_mod` array if
+    The integral is (amplitude/omega) * sum over segments of the toggling sign
+    times the difference of sin(omega t + phase) at the segment edges,
+    vectorized over `phases` (and broadcasting against an `omega_mod` array if
     per-element frequencies are supplied).
     """
     phases = np.asarray(phases, dtype=float)
@@ -66,26 +61,3 @@ def phase_averaged_signal(seq, mod, n_phases=4096):
     grid = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
     phases = accumulated_phase_grid(seq, mod.amplitude, mod.omega_mod, grid)
     return float(np.mean(np.cos(phases)))
-
-
-def echo_signal_at_delay(seq, amplitude, omega_mod, phase_at_trigger, t_delay):
-    """Phase-resolved signal cos(phi_n(tau)) for a line-triggered sequence.
-
-    The sequence starts t_delay after the trigger, so the modulation phase at
-    the first pi/2 pulse is phase_at_trigger + omega_mod * t_delay.  Periodic
-    in t_delay with the modulation period.
-    """
-    if t_delay < 0.0:
-        raise ValueError(f"t_delay must be >= 0, got {t_delay}")
-    mod = ModulationParams(amplitude, omega_mod, phase_at_trigger + omega_mod * t_delay)
-    return math.cos(accumulated_phase(seq, mod))
-
-
-def post_phase_correction(seq, known_mod):
-    """Analyzer-phase correction that cancels a known modulation's phase.
-
-    Returns the accumulated phase the known modulation imprints on the
-    sequence; applying it as the analyzer phase of the final pi/2 pulse turns
-    cos(phi - correction) into 1 when the model is exact.
-    """
-    return accumulated_phase(seq, known_mod)

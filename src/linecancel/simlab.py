@@ -47,7 +47,6 @@ __all__ = [
     "ShotRequest",
     "SimLab",
     "reference_truth",
-    "run_shots",
     "ou_drift_step",
     "monitor_trace",
     "bin_monitor",
@@ -281,11 +280,6 @@ class SimLab:
                               compensation=compensation)
             sig[i], err[i] = self.run_shots(req)
         return RamseyTrace(tau_grid, sig, np.full(tau_grid.size, shots), err)
-
-
-def run_shots(truth, req):
-    """One-off request against a fresh lab seeded from truth.rng_seed."""
-    return SimLab(truth).run_shots(req)
 
 
 def monitor_trace(truth, mode, wait_time, duration_s, shot_period,

@@ -10,15 +10,24 @@ import numpy as np
 import pytest
 
 from linecancel.estimator import (
+    _filter_values,
     fit_amplitude,
     fit_gaussian_envelope,
     fit_phase,
     fit_phase_slope,
     shot_noise_sigma,
 )
-from linecancel.model_core import TWO_PI, RamseyTrace, filter_F
+from linecancel.model_core import (
+    TWO_PI,
+    CPSequence,
+    ModulationParams,
+    RamseyTrace,
+    analytic_signal,
+    bessel_j0,
+    filter_F,
+    filter_F_general,
+)
 from linecancel.quantum_sim import cached_heating_envelope
-from linecancel.bessel import bessel_j0
 from linecancel.simlab import SimLab, reference_truth
 
 
@@ -68,6 +77,33 @@ def test_fit_amplitude_random_noiseless_draws():
         res = fit_amplitude(make_amplitude_trace(a_hz=a, nbar_dot=g), 1, 60.0)
         assert res.params["A_over_2pi"] == pytest.approx(a, rel=1e-5), (a, g)
         assert res.params["nbar_dot"] == pytest.approx(g, rel=1e-4, abs=1e-4), (a, g)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_filter_values_vectorized_for_higher_n(n):
+    # Beyond the closed forms, one array call on the unit-length sequence
+    # replaces a per-tau loop: F_n(omega tau) depends on omega * tau only.
+    omega = TWO_PI * 60.0
+    tau = np.linspace(0.1 / 48, 0.1, 48)
+    values = _filter_values(n, omega, tau)
+    per_tau = [filter_F_general(CPSequence(n, 1.0), omega * t) for t in tau]
+    assert np.array_equal(values, per_tau)
+    per_sequence = [filter_F_general(CPSequence(n, float(t)), omega) for t in tau]
+    assert np.allclose(values, per_sequence, rtol=0.0, atol=1e-12)
+
+
+def test_fit_amplitude_recovers_four_pulse_trace():
+    # Truth built per tau from analytic_signal, i.e. from scalar filter values.
+    n, a_hz, nbar_dot, f_m = 4, 53.9, 6.4, 60.0
+    tau = np.linspace(0.1 / 48, 0.1, 48)
+    mod = ModulationParams.from_hz(a_hz, f_m)
+    contrast = np.array([analytic_signal(CPSequence(n, float(t)), mod) for t in tau])
+    signal = cached_heating_envelope(n, nbar_dot, tau) * contrast
+    trace = RamseyTrace(tau, signal, np.full(tau.size, 500), np.full(tau.size, 0.02))
+    res = fit_amplitude(trace, n, f_m)
+    assert res.converged
+    assert res.params["A_over_2pi"] == pytest.approx(a_hz, rel=1e-6)
+    assert res.params["nbar_dot"] == pytest.approx(nbar_dot, rel=1e-6)
 
 
 def test_fit_amplitude_uniform_sigma_rescale_leaves_optimum():

@@ -13,9 +13,7 @@ from linecancel.model_core import TWO_PI, CPSequence, ModulationParams, analytic
 from linecancel.phase_oracle import (
     accumulated_phase,
     accumulated_phase_grid,
-    echo_signal_at_delay,
     phase_averaged_signal,
-    post_phase_correction,
 )
 
 import oracles
@@ -48,6 +46,10 @@ def test_accumulated_phase_linear_in_amplitude():
     assert accumulated_phase(seq, tripled) == pytest.approx(
         3.0 * accumulated_phase(seq, base), rel=1e-14
     )
+
+
+def test_accumulated_phase_zero_modulation():
+    assert accumulated_phase(CPSequence(2, 0.02), ModulationParams(0.0, 377.0)) == 0.0
 
 
 def test_accumulated_phase_matches_quadrature():
@@ -129,44 +131,3 @@ def test_phase_average_matches_quadrature_oracle():
     ours = phase_averaged_signal(CPSequence(n, tau), ModulationParams.from_hz(amp_hz, f))
     ref = oracles.phase_average_quadrature(n, tau, TWO_PI * amp_hz, TWO_PI * f)
     assert abs(ours - ref) <= 1e-8
-
-
-# ------------------------------------------------------------- delay / echo
-
-
-def test_echo_signal_zero_amplitude_trivial():
-    assert echo_signal_at_delay(CPSequence(1, 0.01), 0.0, 377.0, 0.3, 0.004) == 1.0
-
-
-def test_echo_signal_periodic_in_delay():
-    seq = CPSequence(1, 0.013)
-    omega = TWO_PI * 60.0
-    a = echo_signal_at_delay(seq, 300.0, omega, 1.1, 0.002)
-    b = echo_signal_at_delay(seq, 300.0, omega, 1.1, 0.002 + TWO_PI / omega)
-    assert a == pytest.approx(b, abs=1e-12)
-
-
-def test_echo_signal_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        echo_signal_at_delay(CPSequence(1, 0.01), 1.0, 377.0, 0.0, -1e-9)
-
-
-def test_post_phase_correction_cancels_known_modulation():
-    seq = CPSequence(1, 0.0173)
-    mod = ModulationParams(250.0, TWO_PI * 60.0, phase=0.9)
-    corr = post_phase_correction(seq, mod)
-    assert math.cos(accumulated_phase(seq, mod) - corr) == 1.0
-
-
-def test_post_phase_correction_residual_from_amplitude_error():
-    # Correcting with a 10% high amplitude leaves cos(0.1 * phi) of contrast.
-    seq = CPSequence(1, 0.0173)
-    mod = ModulationParams(250.0, TWO_PI * 60.0, phase=0.9)
-    wrong = ModulationParams(275.0, TWO_PI * 60.0, phase=0.9)
-    phi = accumulated_phase(seq, mod)
-    residual = math.cos(phi - post_phase_correction(seq, wrong))
-    assert residual == pytest.approx(math.cos(0.1 * phi), abs=1e-12)
-
-
-def test_post_phase_correction_zero_modulation():
-    assert post_phase_correction(CPSequence(2, 0.02), ModulationParams(0.0, 377.0)) == 0.0

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import linecancel.phasor_cancel as pc
 from linecancel.phasor_cancel import (
     CancelSolution,
     DegenerateDataError,
@@ -140,6 +141,38 @@ def test_noisy_recovery_with_sigmas():
     sol = solve_phasor(trials)
     assert sol.noise_phasor.magnitude == pytest.approx(TRUTH_V, abs=3.0)
     assert sol.scale_r == pytest.approx(TRUTH_R, abs=0.04)
+
+
+# (injected mV, residual amplitude Hz, sigma Hz) for the zero trial and the
+# 15 mV trials at 0, 120 and 240 degrees of three `cancel` runs (seed 5 n=2 X,
+# seed 8 n=2 Y, seed 11 n=2 Y).  With a cost tolerance of a few ulp (fatol
+# 1e-14 on costs near 8), two polish passes of each ran to maxiter.
+CAPPED_TRIAL_SETS = (
+    ((0.0, 36.89850140882058, 0.6286214487122527), (15.0, 47.45467616867483, 1.0457406868443897),
+     (15.0, 75.70605778417483, 0.9882662038005022), (15.0, 26.731804006177786, 0.5323858025898962)),
+    ((0.0, 53.14858411478961, 0.9677583038404435), (15.0, 67.9549623046952, 0.7800823864184842),
+     (15.0, 101.8787942138041, 1.129213707355815), (15.0, 38.2040846169372, 0.6515508675576287)),
+    ((0.0, 53.16930941570213, 1.0068328592369875), (15.0, 69.32860996787969, 0.8538712529757386),
+     (15.0, 105.30421870371974, 1.001436544681189), (15.0, 39.31043976467732, 0.6974456777035588)),
+)
+
+
+def test_polish_converges_before_iteration_cap(monkeypatch):
+    original = pc.minimize
+    passes = []
+
+    def recording_minimize(*args, **kwargs):
+        res = original(*args, **kwargs)
+        passes.append((res.nit, kwargs["options"]["maxiter"]))
+        return res
+
+    monkeypatch.setattr(pc, "minimize", recording_minimize)
+    angles = (0.0, 0.0, 2.0 * math.pi / 3, 2.0 * math.pi * 2 / 3)
+    for rows in CAPPED_TRIAL_SETS:
+        solve_phasor([TrialRecord(Phasor(mv, angle), amp, sig)
+                      for angle, (mv, amp, sig) in zip(angles, rows)])
+    assert len(passes) == 3 * len(CAPPED_TRIAL_SETS)
+    assert all(nit < maxiter for nit, maxiter in passes), passes
 
 
 def test_zero_ambient_truth():

@@ -23,7 +23,6 @@ from linecancel.simlab import (
     monitor_trace,
     ou_drift_step,
     reference_truth,
-    run_shots,
     scenario_from_dict,
     scenario_to_dict,
 )
@@ -41,10 +40,10 @@ def test_trace_is_bit_deterministic():
     assert np.array_equal(a.sigma, b.sigma)
 
 
-def test_module_level_run_shots_uses_fresh_lab():
+def test_fresh_labs_draw_identical_shots():
     truth = reference_truth(seed=9)
     req = ShotRequest("X", CPSequence(1, 0.02), shots=400)
-    assert run_shots(truth, req) == run_shots(truth, req)
+    assert SimLab(truth).run_shots(req) == SimLab(truth).run_shots(req)
 
 
 def test_rng_stream_advances_within_one_lab():

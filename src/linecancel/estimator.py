@@ -8,9 +8,9 @@ Four fits, all driven by the same Levenberg-Marquardt core:
   curve in quantum_sim, so each fit iteration costs an interpolation, not a
   density-matrix integration.
 * fit_phase: line-triggered echo signal vs wait time -> amplitude, modulation
-  phase at the sequence start, heating rate, with echo_model.  Multi-start
-  over initial phases; the model is periodic in phi_d and local minima are
-  real.
+  phase at the sequence start, heating rate, with echo_model.  The model is
+  periodic in phi_d and its local minima are real, so the fit starts from
+  the best point of a chi^2 scan over amplitude x phase x heating rate.
 * fit_phase_slope: unwrapped modulation phase vs trigger delay -> slope, the
   actual noise frequency in rad/s.
 * fit_gaussian_envelope: short-time contrast decay -> Gaussian time constant.
@@ -42,12 +42,16 @@ __all__ = [
     "fit_gaussian_envelope",
 ]
 
-# Coarse grid for the fit_amplitude starting point.  J0 oscillates, so a
-# gradient descent from one fixed guess can lock onto the wrong lobe; a cheap
-# scan over amplitude x heating-rate picks the right basin first.
+# Coarse grids for the fit starting points.  J0 and the echo cosine
+# oscillate, so a gradient descent from one fixed guess can lock onto the
+# wrong lobe; a cheap scan over the grids picks the right basin first.
 _AMP_SCAN_HZ = np.linspace(0.0, 120.0, 25)
 _RATE_SCAN = np.linspace(0.0, 30.0, 7)
-_PHASE_STARTS = 8
+# The echo scan leaves A = 0 out: the model's gradient in A and phi_d
+# vanishes there, and an LM started at A = 0 stalls.  Half a turn of phi_d
+# covers the model, which is even under phi_d -> phi_d + pi.
+_ECHO_AMP_SCAN_HZ = np.linspace(150.0 / 25, 150.0, 25)
+_ECHO_PHASE_SCAN = np.linspace(0.0, math.pi, 12, endpoint=False)
 _QUADRATURE_PHASES = np.array([[0.0], [0.5 * math.pi]])
 
 
@@ -118,6 +122,22 @@ def _fit_result(res, params, n_points):
     )
 
 
+def _basin_scan(model, trace, grids):
+    """LM start vector: the least-chi^2 point of grids x _RATE_SCAN.
+
+    model(*params, nbar_dot) is evaluated once per heating rate, broadcast
+    over the 1-D parameter grids (each on its own leading axis) and tau.
+    """
+    axes = [np.reshape(g, (-1,) + (1,) * (len(grids) - i)) for i, g in enumerate(grids)]
+    best = None
+    for g in _RATE_SCAN:
+        chi2 = np.nansum(((trace.signal - model(*axes, g)) / trace.sigma) ** 2, axis=-1)
+        k = np.unravel_index(np.argmin(chi2), chi2.shape)
+        if best is None or chi2[k] < best[0]:
+            best = (chi2[k], [grid[i] for grid, i in zip(grids, k)] + [g])
+    return np.array(best[1])
+
+
 def _revival_period(n, f_m):
     # first wait time where the filter returns to zero (full contrast revival)
     firsts = {0: 1.0, 1: 2.0, 2: 2.0, 3: 0.5}
@@ -157,7 +177,7 @@ def echo_model(f_m, tau, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     q0, q1 = accumulated_phase_grid(CPSequence(1, 1.0), theta, theta, _QUADRATURE_PHASES)
 
     def model(a_hz, phi_d, nbar_dot):
-        acc = (a_hz / f_m) * (q0 * math.cos(phi_d) + q1 * math.sin(phi_d))
+        acc = (a_hz / f_m) * (q0 * np.cos(phi_d) + q1 * np.sin(phi_d))
         return cached_heating_envelope(1, nbar_dot, tau, fock_cutoff) * np.cos(acc)
 
     return model
@@ -184,20 +204,11 @@ def fit_amplitude(trace, n, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     model = contrast_model(n, f_m, trace.tau, fock_cutoff)
     sig = trace.sigma
 
-    # coarse basin scan
-    best = None
-    for g in _RATE_SCAN:
-        pred = model(_AMP_SCAN_HZ[:, None], g)
-        chi2 = np.nansum(((trace.signal - pred) / sig) ** 2, axis=1)
-        k = int(np.argmin(chi2))
-        if best is None or chi2[k] < best[0]:
-            best = (chi2[k], _AMP_SCAN_HZ[k], g)
-    _, a0, g0 = best
-
     def resid(x):
         return (trace.signal - model(x[0], x[1])) / sig
 
-    res = levenberg_marquardt(resid, np.array([a0, g0]), floor=np.array([1.0, 1.0]))
+    x0 = _basin_scan(model, trace, [_AMP_SCAN_HZ])
+    res = levenberg_marquardt(resid, x0, floor=np.array([1.0, 1.0]))
     a_hz, nbar_dot = res.x
     return _fit_result(res, {"A_over_2pi": abs(a_hz), "nbar_dot": nbar_dot}, trace.tau.size)
 
@@ -205,7 +216,8 @@ def fit_amplitude(trace, n, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
 def fit_phase(trace, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     """Fit a line-triggered echo trace for (A, phi_d, nbar_dot) with echo_model.
 
-    Multi-started over 8 initial phases and two amplitude scales.
+    One Levenberg-Marquardt polish from the least-chi^2 point of a scan over
+    A in (0, 150] Hz x phi_d in [0, pi) x nbar_dot in [0, 30] /s.
 
     Because the readout is a cosine of the accumulated phase, phi_d and
     phi_d + pi produce identical signals at every tau: a single-delay trace
@@ -222,21 +234,16 @@ def fit_phase(trace, f_m, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     def resid(x):
         return (trace.signal - model(*x)) / sig
 
-    best = None
-    floor = np.array([1.0, 1.0, 1.0])
-    for phi0 in np.linspace(0.0, TWO_PI, _PHASE_STARTS, endpoint=False):
-        for a0 in (25.0, 60.0):
-            res = levenberg_marquardt(resid, np.array([a0, phi0, 5.0]), floor=floor)
-            if best is None or res.cost < best.cost:
-                best = res
-    a_hz, phi_d, nbar_dot = best.x
+    x0 = _basin_scan(model, trace, [_ECHO_AMP_SCAN_HZ, _ECHO_PHASE_SCAN])
+    res = levenberg_marquardt(resid, x0, floor=np.array([1.0, 1.0, 1.0]))
+    a_hz, phi_d, nbar_dot = res.x
     if a_hz < 0.0:
         # A -> -A equals phi_d -> phi_d + pi in this model
         a_hz = -a_hz
         phi_d += math.pi
     phi_d %= math.pi  # mod-pi degeneracy; canonical representative
     params = {"A_over_2pi": a_hz, "phi_d": phi_d, "nbar_dot": nbar_dot}
-    return _fit_result(best, params, trace.tau.size)
+    return _fit_result(res, params, trace.tau.size)
 
 
 def fit_phase_slope(delays, period=TWO_PI):

@@ -149,22 +149,22 @@ def solve_phasor(trials):
     psi_grid = np.linspace(0.0, TWO_PI, _ANGLE_STEPS, endpoint=False)
     v_grid = np.linspace(0.0, v_max, _MAG_STEPS)
 
+    # coarse grid distances, trial-major: (trials, magnitude, angle)
+    d = np.abs(v_grid[:, None] * np.exp(1j * psi_grid) - z[:, None, None])
+    a = amps[:, None, None]
     best = None
     for _ in range(n_passes):
         # coarse grid with conditional closed-form r
-        d = np.abs(v_grid[:, None, None] * np.exp(1j * psi_grid)[None, :, None] - z)
-        wd = weights * d
-        num = (wd * amps).sum(axis=-1)
-        den = float(np.sum(weights * amps * amps))
+        w = weights
+        num = (w[:, None, None] * d * a).sum(axis=0)
+        den = float(np.sum(w * amps * amps))
         r_cond = num / den if den > 0.0 else np.full_like(num, -1.0)
-        cost = np.sum(weights * (d - r_cond[..., None] * amps) ** 2, axis=-1)
+        cost = np.sum(w[:, None, None] * (d - r_cond * a) ** 2, axis=0)
         cost = np.where(r_cond > 0.0, cost, np.inf)
         if not np.isfinite(cost).any():
             raise DegenerateDataError("conditional scale optimum is non-positive everywhere")
         i, j = np.unravel_index(np.argmin(cost), cost.shape)
         x0 = np.array([v_grid[i], psi_grid[j], r_cond[i, j]])
-
-        w = weights
 
         def fun(x):
             if x[2] <= 0.0:

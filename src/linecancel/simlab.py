@@ -21,6 +21,14 @@ Per-shot model:
   the cached heating envelope, converted to P1 = (1 + s)/2, and one
   Bernoulli outcome is drawn per shot.
 
+Random numbers come from one sequential stream per lab.  Point by point, in
+scan order, a point draws its shots' line frequencies (when jittered), burst
+injection slips (when compensating in burst mode), free-running phases
+(when untriggered), OU drift normals (when sigma_f > 0) and outcome
+uniforms.  A trace draws all of them first and then evaluates the physics
+in one pass over (points, shots) arrays, so it reproduces run_shots called
+point by point.
+
 The modulation amplitude seen by a mode scales with the mode frequency
 (locally linear set-point transfer), so the volts-per-hertz scale for mode m
 is transfer_r * f_X / f_m, with the X mode the quoting reference.
@@ -188,68 +196,78 @@ def _ou_path(state, n, dt, sigma_f, tau_c, rng):
     return path, float(path[-1]) if n else float(state)
 
 
-def _sample_point(truth, req, rng, drift_state):
-    """Sample all shots of one trace point; returns (signal, sigma, new drift state)."""
-    seq = req.seq
-    n_sh = req.shots
+def _sample_points(truth, req, tau, rng, drift_state):
+    """Sample every shot of the points tau of a scan at the settings of req.
+
+    req.seq gives the pulse count; its own wait time is ignored.  Each
+    point's random numbers are drawn in the order a single point draws them
+    (line frequency, injection slip, free-running phase, OU drift normals,
+    shot-outcome uniforms), then the physics runs once over (points, shots)
+    arrays.  Returns (signals, sigmas, new drift state).
+    """
+    n_pts, n_sh = tau.size, req.shots
     r_mode = truth.r_for_mode(req.mode)
+    comp = req.compensation
+    if comp is not None and comp.magnitude == 0.0:
+        comp = None
+    drift = truth.drift
 
-    if truth.line_jitter > 0.0:
-        f = truth.f_line + rng.uniform(-truth.line_jitter, truth.line_jitter, n_sh)
-    else:
-        f = np.full(n_sh, truth.f_line)
+    f = np.full((n_pts, n_sh), truth.f_line)
+    slip_u = np.empty((n_pts, n_sh))
+    phase_u = np.empty((n_pts, n_sh))
+    delta = np.zeros((n_pts, n_sh))
+    outcome_u = np.empty((n_pts, n_sh))
+    for i in range(n_pts):
+        if truth.line_jitter > 0.0:
+            f[i] = truth.f_line + rng.uniform(-truth.line_jitter, truth.line_jitter, n_sh)
+        if comp is not None and truth.burst_mode:
+            slip_u[i] = rng.uniform(0.0, 1.0, n_sh)
+        if req.t_d is None:
+            phase_u[i] = rng.uniform(0.0, TWO_PI, n_sh)
+        if drift.sigma_f > 0.0 or drift_state != 0.0:
+            dt = (req.t_d or 0.0) + tau[i]  # drift step per shot
+            delta[i], drift_state = _ou_path(drift_state, n_sh, dt, drift.sigma_f, drift.tau_c, rng)
+        outcome_u[i] = rng.random(n_sh)
+
     omega = TWO_PI * f
-
+    col = tau[:, None]
     # residual pickup phasor per shot: ambient plus (possibly phase-slipped) injection
     noise_z = complex(truth.noise_phasor.z)
-    comp = req.compensation
-    if comp is None or comp.magnitude == 0.0:
-        resid = np.full(n_sh, noise_z)
+    if comp is None:
+        resid = np.full((n_pts, n_sh), noise_z)
     else:
         df = f - truth.f_line
         if truth.burst_mode:
-            slip = TWO_PI * (df / truth.f_line) * rng.uniform(0.0, 1.0, n_sh)
+            slip = TWO_PI * (df / truth.f_line) * slip_u
         else:
-            elapsed = (req.t_d or 0.0) + seq.tau / 2.0
-            slip = TWO_PI * df * elapsed
+            slip = TWO_PI * df * ((req.t_d or 0.0) + col / 2.0)
         resid = noise_z + comp.z * np.exp(1j * slip)
     a_eff = np.abs(resid) / r_mode  # Hz
     theta = np.angle(resid)
+    phi0 = theta + (phase_u if req.t_d is None else omega * req.t_d)
 
-    if req.t_d is None:
-        phi0 = theta + rng.uniform(0.0, TWO_PI, n_sh)
-    else:
-        phi0 = theta + omega * req.t_d
-
-    drift = truth.drift
-    dt = (req.t_d or 0.0) + seq.tau
-    if drift.sigma_f > 0.0 or drift_state != 0.0:
-        delta, drift_state = _ou_path(drift_state, n_sh, dt, drift.sigma_f, drift.tau_c, rng)
-    else:
-        delta = np.zeros(n_sh)
-
-    acc = accumulated_phase_grid(seq, TWO_PI * a_eff, omega, phi0)
-    signs = seq.segment_signs()
-    ydt = float(signs @ np.diff(seq.segment_edges()))  # tau for n=0, 0 for n>=1
-    if ydt != 0.0:
-        acc = acc + TWO_PI * delta * ydt
+    # A tau-long sequence at omega accumulates the phase of a unit-length one
+    # at omega * tau (amplitude scaled alike), so one call covers every point.
+    n = req.seq.n_pulses
+    acc = accumulated_phase_grid(CPSequence(n, 1.0), TWO_PI * a_eff * col, omega * col, phi0)
+    if n == 0:
+        # only the unrefocused Ramsey picks up the static drift detuning
+        acc = acc + TWO_PI * delta * col
 
     heat = truth.heating_for_mode(req.mode)
-    env = cached_heating_envelope(seq.n_pulses, heat.nbar_dot, seq.tau, heat.fock_cutoff)
-    s_ideal = env * np.cos(acc - req.analyzer_phase)
-
-    p1 = 0.5 * (1.0 + s_ideal)
-    outcomes = rng.random(n_sh) < p1
-    estimate = 2.0 * float(outcomes.mean()) - 1.0
-    return estimate, float(shot_noise_sigma(estimate, n_sh)), drift_state
+    env = cached_heating_envelope(n, heat.nbar_dot, tau, heat.fock_cutoff)
+    p1 = 0.5 * (1.0 + env[:, None] * np.cos(acc - req.analyzer_phase))
+    estimate = 2.0 * (outcome_u < p1).mean(axis=1) - 1.0
+    return estimate, shot_noise_sigma(estimate, n_sh), drift_state
 
 
 class SimLab:
     """One lab instance: a truth plus a sequential RNG stream and drift state.
 
-    Identical seed and request sequence reproduce bit-identical data.  Drift
-    state persists across requests (the lab's slow drift does not reset
-    between scans); common-mode drift shares one state across modes.
+    Identical seed and request sequence reproduce bit-identical data, and a
+    trace draws exactly what run_shots point by point would.  Drift state
+    persists across requests (the lab's slow drift does not reset between
+    scans); common-mode drift shares one state across modes.
     """
 
     def __init__(self, truth):
@@ -257,28 +275,28 @@ class SimLab:
         self._rng = np.random.default_rng(truth.rng_seed)
         self._drift_state = {}
 
-    def _drift_key(self, mode):
-        return "common" if self.truth.drift.common else mode
+    def _sample(self, req, tau):
+        key = "common" if self.truth.drift.common else req.mode
+        state = self._drift_state.get(key, 0.0)
+        signal, sigma, state = _sample_points(self.truth, req, tau, self._rng, state)
+        self._drift_state[key] = state
+        return signal, sigma
 
     def run_shots(self, req):
         """Measure one trace point; returns (signal, sigma)."""
-        key = self._drift_key(req.mode)
-        state = self._drift_state.get(key, 0.0)
-        signal, sigma, state = _sample_point(self.truth, req, self._rng, state)
-        self._drift_state[key] = state
-        return signal, sigma
+        signal, sigma = self._sample(req, np.array([req.seq.tau]))
+        return float(signal[0]), float(sigma[0])
 
     def trace(self, mode, n_pulses, tau_grid, shots, t_d=None, analyzer_phase=0.0,
               compensation=None):
         """Scan tau over tau_grid at fixed settings; returns a RamseyTrace."""
         tau_grid = np.asarray(tau_grid, dtype=float)
-        sig = np.empty(tau_grid.size)
-        err = np.empty(tau_grid.size)
-        for i, tau in enumerate(tau_grid):
-            req = ShotRequest(mode=mode, seq=CPSequence(n_pulses, float(tau)),
-                              shots=shots, t_d=t_d, analyzer_phase=analyzer_phase,
-                              compensation=compensation)
-            sig[i], err[i] = self.run_shots(req)
+        positive = np.all(np.isfinite(tau_grid) & (tau_grid > 0.0))
+        if tau_grid.ndim != 1 or tau_grid.size == 0 or not positive:
+            raise ValueError("tau_grid must be a non-empty 1-D array of finite wait times > 0")
+        req = ShotRequest(mode=mode, seq=CPSequence(n_pulses, float(tau_grid[0])), shots=shots,
+                          t_d=t_d, analyzer_phase=analyzer_phase, compensation=compensation)
+        sig, err = self._sample(req, tau_grid)
         return RamseyTrace(tau_grid, sig, np.full(tau_grid.size, shots), err)
 
 

@@ -4,6 +4,8 @@ Everything here deliberately avoids the closed forms used by the package:
 integrals are evaluated by adaptive Simpson quadrature, and density-matrix
 free evolution by fixed-step RK4 on the master equation, so that agreement
 between package and oracle is evidence, not tautology.
+multistart_fit_phase is the exception that checks a search, not a formula:
+it minimizes the package's own echo model by brute-force restarts.
 """
 from __future__ import annotations
 
@@ -194,3 +196,31 @@ def rk4_sequence_signal(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock
     populations = np.einsum("...ii->...i", rho).real
     sigma_z = populations[..., m:].sum(axis=-1) - populations[..., :m].sum(axis=-1)
     return (-1.0) ** n_pulses * sigma_z
+
+
+def multistart_fit_phase(trace, f_m):
+    """The echo-phase fit by brute force: 16 LM runs, keep the least cost.
+
+    Starts at 8 phases around the full circle x amplitudes 25 and 60 Hz, all
+    at nbar_dot = 5 /s.  Slow, but it reaches the basins a single start can
+    miss; estimator.fit_phase (one scan, one LM) must do no worse.  Returns
+    (LMResult of the best start, params canonicalized as fit_phase does).
+    """
+    from linecancel.estimator import echo_model
+    from linecancel.levmar import levenberg_marquardt
+
+    model = echo_model(f_m, trace.tau)
+
+    def resid(x):
+        return (trace.signal - model(*x)) / trace.sigma
+
+    best = None
+    for phi0 in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
+        for a0 in (25.0, 60.0):
+            res = levenberg_marquardt(resid, np.array([a0, phi0, 5.0]), floor=np.ones(3))
+            if best is None or res.cost < best.cost:
+                best = res
+    a_hz, phi_d, nbar_dot = best.x
+    if a_hz < 0.0:
+        a_hz, phi_d = -a_hz, phi_d + math.pi
+    return best, {"A_over_2pi": a_hz, "phi_d": phi_d % math.pi, "nbar_dot": nbar_dot}

@@ -30,6 +30,8 @@ from linecancel.model_core import (
 from linecancel.quantum_sim import cached_heating_envelope
 from linecancel.simlab import SimLab, reference_truth
 
+from oracles import multistart_fit_phase
+
 
 def make_amplitude_trace(a_hz=53.9, nbar_dot=6.4, f_m=60.0, n=1, n_pts=48):
     tau = np.linspace(0.1 / n_pts, 0.1, n_pts)
@@ -178,6 +180,34 @@ def test_fit_phase_reports_canonical_branch():
     res = fit_phase(shifted, 60.0)
     assert 0.0 <= res.params["phi_d"] < math.pi
     assert res.params["phi_d"] == pytest.approx(0.913 * math.pi, rel=1e-5)
+
+
+@pytest.mark.parametrize("a_hz", [130.0, 145.0])
+def test_fit_phase_large_amplitude_noiseless(a_hz):
+    # Starts at 25 and 60 Hz alone settle in a wrong lobe here (A ~ 35-41
+    # Hz, chi2_red ~ 100); the scan reaches up to 150 Hz.
+    res = fit_phase(make_phase_trace(a_hz=a_hz, phi_d=1.7), 60.0)
+    assert abs(res.params["A_over_2pi"] - a_hz) <= 1e-3
+    dphi = abs(res.params["phi_d"] - 1.7) % math.pi
+    assert min(dphi, math.pi - dphi) <= 1e-4
+
+
+def test_fit_phase_matches_multistart_oracle():
+    # One scan + one LM must reach the minimum the 16-start fit finds.
+    tau = np.linspace(0.08 / 60, 0.08, 60)
+    rng = np.random.default_rng(29)
+    for seed in range(12):
+        a_hz = float(rng.uniform(20.0, 100.0))
+        truth = reference_truth(seed=seed, noise_mv=a_hz * 0.38,
+                                noise_angle=float(rng.uniform(0.0, TWO_PI)), nbar_dot=15.5)
+        trace = SimLab(truth).trace("X", 1, tau, 400, t_d=float(rng.uniform(0.0, 0.01)))
+        res = fit_phase(trace, 60.0)
+        oracle, params = multistart_fit_phase(trace, 60.0)
+        assert res.chi2_reduced * (tau.size - 3) <= oracle.cost * (1.0 + 1e-6), seed
+        for key in ("A_over_2pi", "nbar_dot"):
+            assert res.params[key] == pytest.approx(params[key], rel=1e-5), (seed, key)
+        dphi = abs(res.params["phi_d"] - params["phi_d"]) % math.pi
+        assert min(dphi, math.pi - dphi) <= 1e-5 * params["phi_d"], seed
 
 
 def test_fit_phase_rejects_bad_frequency():

@@ -52,6 +52,36 @@ def test_rng_stream_advances_within_one_lab():
     assert lab.run_shots(req) != lab.run_shots(req)
 
 
+@pytest.mark.parametrize("n, t_d, comp, truth_kw", [
+    (0, None, None, {"sigma_f": 4.0}),
+    (1, 0.003, None, {}),
+    (2, None, Phasor(12.0, 4.5), {}),
+    (3, 0.002, Phasor(12.0, 4.5), {"sigma_f": 4.0, "burst_mode": False}),
+    (0, 0.001, Phasor(5.0, 1.0), {"line_jitter": 0.0, "sigma_f": 2.0}),
+    (1, None, Phasor(14.0, 1.2), {"line_jitter": 0.0, "burst_mode": False}),
+])
+def test_trace_equals_point_by_point_run_shots(n, t_d, comp, truth_kw):
+    # A trace evaluates the physics in one array pass; it must draw and
+    # return exactly what run_shots does point by point, drift state included.
+    truth = reference_truth(seed=21, **truth_kw)
+    lab, twin = SimLab(truth), SimLab(truth)
+    trace = lab.trace("Y", n, TAU_GRID, shots=250, t_d=t_d, analyzer_phase=0.3,
+                      compensation=comp)
+    points = [twin.run_shots(ShotRequest("Y", CPSequence(n, float(tau)), 250, t_d, 0.3, comp))
+              for tau in TAU_GRID]
+    assert trace.signal.tolist() == [p[0] for p in points]
+    assert trace.sigma.tolist() == [p[1] for p in points]
+    req = ShotRequest("X", CPSequence(n, 0.03), shots=300, t_d=t_d)
+    assert lab.run_shots(req) == twin.run_shots(req)
+
+
+def test_trace_rejects_bad_grids():
+    lab = SimLab(reference_truth(seed=2))
+    for grid in ([], [0.01, 0.0], [0.01, math.nan]):
+        with pytest.raises(ValueError):
+            lab.trace("X", 1, grid, shots=10)
+
+
 # --------------------------------------------------------- per-shot physics
 
 

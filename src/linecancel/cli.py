@@ -164,7 +164,7 @@ def _read_trace(path):
 
 
 # ---------------------------------------------------------------------------
-# scenario handling
+# scenario and flag checks
 
 def _load_truth(args):
     path = getattr(args, "scenario", None)
@@ -192,25 +192,38 @@ def _check_mode(truth, mode):
         raise InputError(f"unknown mode {mode!r}; scenario has {sorted(truth.mode_freqs)}")
 
 
+def _check_positive(flag, value):
+    if not (value > 0.0 and math.isfinite(value)):
+        raise InputError(f"{flag} must be finite and > 0, got {value}")
+
+
+def _check_pulses(n):
+    if n < 0:
+        raise InputError(f"--n must be >= 0, got {n}")
+
+
+def _check_scan(prefix, points, shots, tau_max):
+    """Reject a wait-time scan the lab cannot sample; prefix is "--" or "--verify-"."""
+    if points < 1:
+        raise InputError(f"{prefix}points must be >= 1, got {points}")
+    if shots < 1:
+        raise InputError(f"{prefix}shots must be >= 1, got {shots}")
+    _check_positive(f"{prefix}tau-max", tau_max)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
 def cmd_simulate(args):
     truth = _load_truth(args)
     _check_mode(truth, args.mode)
-    if args.points < 1:
-        raise InputError(f"--points must be >= 1, got {args.points}")
-    if args.shots < 1:
-        raise InputError(f"--shots must be >= 1, got {args.shots}")
-    if not (args.tau_max > 0.0 and math.isfinite(args.tau_max)):
-        raise InputError(f"--tau-max must be finite and > 0, got {args.tau_max}")
+    _check_scan("--", args.points, args.shots, args.tau_max)
     tau_min = args.tau_min if args.tau_min is not None else args.tau_max / args.points
     if not (0.0 < tau_min <= args.tau_max):
         raise InputError(f"--tau-min must be in (0, tau-max], got {tau_min}")
-    if args.n < 0:
-        raise InputError(f"--n must be >= 0, got {args.n}")
-    if args.t_d is not None and args.t_d < 0.0:
-        raise InputError(f"--t-d must be >= 0, got {args.t_d}")
+    _check_pulses(args.n)
+    if args.t_d is not None and not (args.t_d >= 0.0 and math.isfinite(args.t_d)):
+        raise InputError(f"--t-d must be finite and >= 0, got {args.t_d}")
     comp = _parse_comp(args)
 
     grid = np.linspace(tau_min, args.tau_max, args.points)
@@ -268,32 +281,36 @@ def cmd_fit(args):
             },
             "ambiguous": slope.ambiguous,
         }
-    else:
+    elif args.kind == "envelope":
         trace = _read_trace(args.trace)
+        try:
+            t_gauss, sigma = fit_gaussian_envelope(trace)
+        except ValueError as exc:
+            raise InputError(str(exc))
+        payload = {
+            "kind": "envelope",
+            "params": {"t_gauss_s": t_gauss},
+            "sigmas": {"t_gauss_s": sigma},
+        }
+    else:  # amplitude or phase
         if args.kind == "amplitude":
             if args.n is None:
                 raise InputError("--kind amplitude requires --n")
-            try:
+            _check_pulses(args.n)
+        _check_positive("--f-m", args.f_m)
+        try:
+            HeatingModel(0.0, args.fock_cutoff)
+        except ValueError as exc:
+            raise InputError(f"--fock-cutoff: {exc}")
+        trace = _read_trace(args.trace)
+        try:
+            if args.kind == "amplitude":
                 result = fit_amplitude(trace, args.n, args.f_m, fock_cutoff=args.fock_cutoff)
-            except ValueError as exc:
-                raise InputError(str(exc))
-            payload = _fit_payload("amplitude", result)
-        elif args.kind == "phase":
-            try:
+            else:
                 result = fit_phase(trace, args.f_m, fock_cutoff=args.fock_cutoff)
-            except ValueError as exc:
-                raise InputError(str(exc))
-            payload = _fit_payload("phase", result)
-        else:  # envelope
-            try:
-                t_gauss, sigma = fit_gaussian_envelope(trace)
-            except ValueError as exc:
-                raise InputError(str(exc))
-            payload = {
-                "kind": "envelope",
-                "params": {"t_gauss_s": t_gauss},
-                "sigmas": {"t_gauss_s": sigma},
-            }
+        except ValueError as exc:
+            raise InputError(str(exc))
+        payload = _fit_payload(args.kind, result)
 
     if args.out is not None:
         _write_json(os.path.join(args.out, "fit.json"), payload)
@@ -305,8 +322,8 @@ def cmd_fit(args):
 # ---------------------------------------------------------------------------
 # cancel
 
-def _fit_trial_amplitude(trace, n, f_m):
-    result = fit_amplitude(trace, n, f_m)
+def _fit_trial_amplitude(trace, n, f_m, fock_cutoff):
+    result = fit_amplitude(trace, n, f_m, fock_cutoff=fock_cutoff)
     sigma = result.sigmas["A_over_2pi"]
     # An amplitude consistent with zero has a singular Jacobian column (the
     # model is flat in A at A=0), so the reported sigma can collapse to 0;
@@ -318,9 +335,9 @@ def _fit_trial_amplitude(trace, n, f_m):
 
 def _trial_angles(n_trials, override):
     if override is not None:
-        if len(override) != n_trials - 1:
+        if len(override) != n_trials - 1 or not all(map(math.isfinite, override)):
             raise InputError(
-                f"--trial-angles-deg needs {n_trials - 1} values for {n_trials} trials, got {len(override)}")
+                f"--trial-angles-deg needs {n_trials - 1} finite values for {n_trials} trials, got {override}")
         return [math.radians(a) for a in override]
     # Spread so zero + injections never sit on one line (k=3 would otherwise
     # land at 0 and 180 degrees).
@@ -333,6 +350,7 @@ def _run_cancel(truth, mode, n, f_m, n_trials, trial_mv, shots, points, tau_max,
                 trial_angles=None):
     """Trial injections -> phasor solve -> verification scans on one lab."""
     lab = SimLab(truth)
+    fock_cutoff = truth.heating_for_mode(mode).fock_cutoff
     trial_grid = np.linspace(tau_max / points, tau_max, points)
 
     injections = [Phasor(0.0, 0.0)]
@@ -344,7 +362,7 @@ def _run_cancel(truth, mode, n, f_m, n_trials, trial_mv, shots, points, tau_max,
     for idx, inj in enumerate(injections):
         comp = inj if inj.magnitude > 0.0 else None
         trace = lab.trace(mode, n, trial_grid, shots, compensation=comp)
-        amp, amp_sigma = _fit_trial_amplitude(trace, n, f_m)
+        amp, amp_sigma = _fit_trial_amplitude(trace, n, f_m, fock_cutoff)
         records.append(TrialRecord(inj, amp, amp_sigma))
         trial_rows.append((idx, inj.magnitude, inj.angle, amp,
                            float("nan") if amp_sigma is None else amp_sigma))
@@ -383,10 +401,18 @@ def _run_cancel(truth, mode, n, f_m, n_trials, trial_mv, shots, points, tau_max,
 def cmd_cancel(args):
     truth = _load_truth(args)
     _check_mode(truth, args.mode)
+    _check_pulses(args.n)
     if args.trials < 3:
         raise InputError(f"--trials must be >= 3, got {args.trials}")
-    if args.trial_mv <= 0.0:
-        raise InputError(f"--trial-mv must be > 0, got {args.trial_mv}")
+    _check_positive("--trial-mv", args.trial_mv)
+    _check_scan("--", args.points, args.shots, args.tau_max)
+    _check_scan("--verify-", args.verify_points, args.verify_shots, args.verify_tau_max)
+    if args.f_m is not None:
+        _check_positive("--f-m", args.f_m)
+    if not 0.0 < args.threshold < 1.0:
+        raise InputError(f"--threshold must be in (0, 1), got {args.threshold}")
+    if not (args.min_apply_mv >= 0.0 and math.isfinite(args.min_apply_mv)):
+        raise InputError(f"--min-apply-mv must be finite and >= 0, got {args.min_apply_mv}")
     f_m = args.f_m if args.f_m is not None else truth.f_line
     angles = None
     if args.trial_angles_deg is not None:

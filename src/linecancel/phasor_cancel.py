@@ -114,13 +114,6 @@ def _objective(v, psi, r, z, amps, weights):
     return float(np.sum(weights * (d - r * amps) ** 2))
 
 
-def _conditional_r(d, amps, weights):
-    denom = float(np.sum(weights * amps * amps))
-    if denom <= 0.0:
-        return -1.0
-    return float(np.sum(weights * d * amps)) / denom
-
-
 def solve_phasor(trials):
     """Fit (V, u, r) to a set of trials; returns a CancelSolution.
 

@@ -264,17 +264,11 @@ def run_sequence(spec, phi=0.0):
     Returns cos(accumulated_phase - analyzer_phase) in the heating-free limit;
     with heating, the contrast-reduced equivalent.
     """
-    amplitude = spec.mod.amplitude if spec.mod is not None else 0.0
-    omega = spec.mod.omega_mod if spec.mod is not None else 1.0
-    gamma = spec.heating.nbar_dot if spec.heating is not None else 0.0
-    return _sequence_signals(
-        spec.seq.n_pulses, spec.seq.tau, amplitude, omega, phi, gamma,
-        spec.fock_cutoff, spec.analyzer_phase, spec.ideal_pulses,
-    )
+    return run_sequence_phases(spec, phi)
 
 
 def run_sequence_phases(spec, phis):
-    """run_sequence over an array of modulation phases, batched in one pass."""
+    """Sequence signals over an array of modulation phases, batched in one pass."""
     amplitude = spec.mod.amplitude if spec.mod is not None else 0.0
     omega = spec.mod.omega_mod if spec.mod is not None else 1.0
     gamma = spec.heating.nbar_dot if spec.heating is not None else 0.0

@@ -39,7 +39,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .estimator import shot_noise_sigma
 from .model_core import TWO_PI, CPSequence, HeatingModel, RamseyTrace
@@ -55,7 +54,6 @@ __all__ = [
     "ShotRequest",
     "SimLab",
     "reference_truth",
-    "ou_drift_step",
     "monitor_trace",
     "bin_monitor",
     "coherence_time",
@@ -168,32 +166,20 @@ class ShotRequest:
             raise ValueError(f"t_d must be finite and >= 0, got {self.t_d}")
 
 
-def _ou_update(state, dt, sigma_f, tau_c, normal):
-    decay = math.exp(-dt / tau_c)
-    return state * decay + sigma_f * math.sqrt(1.0 - decay * decay) * normal
-
-
-def ou_drift_step(state, dt, sigma_f, tau_c, rng):
-    """One exact-discretization OU step; stationary std is sigma_f."""
-    if dt < 0.0:
-        raise ValueError(f"dt must be >= 0, got {dt}")
-    return _ou_update(state, dt, sigma_f, tau_c, rng.standard_normal())
-
-
 def _ou_path(state, n, dt, sigma_f, tau_c, rng):
-    """n sequential OU steps from `state`; returns (path array, final state).
+    """n exact-discretization OU steps of length dt from `state`.
 
-    Same recursion as ou_drift_step, vectorized through a first-order IIR
-    filter so long shot records stay cheap.
+    Each step is state * decay + sigma_f * sqrt(1 - decay^2) * normal with
+    decay = exp(-dt / tau_c), so the stationary std is sigma_f.  Returns
+    (path array, final state).
     """
-    if sigma_f == 0.0:
-        decay = math.exp(-dt / tau_c)
-        path = state * decay ** np.arange(1, n + 1)
-        return path, float(path[-1]) if n else float(state)
     decay = math.exp(-dt / tau_c)
     innov = sigma_f * math.sqrt(1.0 - decay * decay) * rng.standard_normal(n)
-    path, _ = lfilter([1.0], [1.0, -decay], innov, zi=np.array([decay * state]))
-    return path, float(path[-1]) if n else float(state)
+    path = []
+    for x in innov.tolist():
+        state = x + decay * state
+        path.append(state)
+    return np.array(path), float(state)
 
 
 def _sample_points(truth, req, tau, rng, drift_state):
@@ -224,7 +210,7 @@ def _sample_points(truth, req, tau, rng, drift_state):
             slip_u[i] = rng.uniform(0.0, 1.0, n_sh)
         if req.t_d is None:
             phase_u[i] = rng.uniform(0.0, TWO_PI, n_sh)
-        if drift.sigma_f > 0.0 or drift_state != 0.0:
+        if drift.sigma_f > 0.0:  # without noise the drift state never leaves 0
             dt = (req.t_d or 0.0) + tau[i]  # drift step per shot
             delta[i], drift_state = _ou_path(drift_state, n_sh, dt, drift.sigma_f, drift.tau_c, rng)
         outcome_u[i] = rng.random(n_sh)

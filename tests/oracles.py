@@ -6,6 +6,8 @@ free evolution by fixed-step RK4 on the master equation, so that agreement
 between package and oracle is evidence, not tautology.
 multistart_fit_phase is the exception that checks a search, not a formula:
 it minimizes the package's own echo model by brute-force restarts.
+ou_drift_step is the lab's drift recursion one scalar step at a time, the
+reference that simlab._ou_path's n-step path must match exactly.
 """
 from __future__ import annotations
 
@@ -224,3 +226,9 @@ def multistart_fit_phase(trace, f_m):
     if a_hz < 0.0:
         a_hz, phi_d = -a_hz, phi_d + math.pi
     return best, {"A_over_2pi": a_hz, "phi_d": phi_d % math.pi, "nbar_dot": nbar_dot}
+
+
+def ou_drift_step(state, dt, sigma_f, tau_c, rng):
+    """One exact-discretization Ornstein-Uhlenbeck step; stationary std is sigma_f."""
+    decay = math.exp(-dt / tau_c)
+    return state * decay + sigma_f * math.sqrt(1.0 - decay * decay) * rng.standard_normal()

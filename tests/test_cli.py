@@ -1,13 +1,19 @@
 """End-to-end runs of the command-line surface, in process via main(argv)."""
 import json
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import linecancel.cli as cli
-from linecancel.model_core import TWO_PI
-from linecancel.simlab import reference_truth, scenario_to_dict
+from linecancel.estimator import fit_amplitude
+from linecancel.model_core import TWO_PI, HeatingModel
+from linecancel.phasor_cancel import Phasor
+from linecancel.simlab import SimLab, reference_truth, scenario_to_dict
 
 
 def run(*argv):
@@ -41,6 +47,7 @@ def test_simulate_flag_validation(tmp_path):
     assert run("simulate", "--mode", "Q", *out) == 2
     assert run("simulate", "--comp-mv", 5.0, *out) == 2  # angle missing
     assert run("simulate", "--t-d", -0.001, *out) == 2
+    assert run("simulate", "--t-d", "nan", *out) == 2
 
 
 def test_simulate_rejects_bad_scenario(tmp_path):
@@ -94,7 +101,7 @@ def test_fit_writes_stdout_without_out(echo_trace, capsys):
     assert payload["kind"] == "amplitude"
 
 
-def test_fit_error_paths(echo_trace, tmp_path):
+def test_fit_error_paths(echo_trace, tmp_path, capsys):
     assert run("fit", "--trace", tmp_path / "nope.csv", "--kind", "amplitude", "--n", 1) == 2
     assert run("fit", "--trace", echo_trace, "--kind", "amplitude") == 2  # --n missing
 
@@ -109,6 +116,12 @@ def test_fit_error_paths(echo_trace, tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("tau_s,signal,shots,sigma\n")
     assert run("fit", "--trace", empty, "--kind", "envelope") == 2
+
+    for kind, flag, value in (("amplitude", "--n", -1), ("phase", "--fock-cutoff", 2),
+                              ("phase", "--f-m", "nan")):
+        capsys.readouterr()
+        assert run("fit", "--trace", echo_trace, "--kind", kind, flag, value) == 2
+        assert flag in capsys.readouterr().err
 
 
 def test_argparse_usage_errors_exit_2(tmp_path):
@@ -161,6 +174,39 @@ def test_cancel_wrong_angle_count_exit_2(tmp_path):
                "--out", tmp_path) == 2
     assert run("cancel", "--trials", 2, "--out", tmp_path) == 2
     assert run("cancel", "--trial-angles-deg", "0,abc,240", "--out", tmp_path) == 2
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--shots", 0), ("--points", 0), ("--verify-shots", 0), ("--verify-points", 0),
+    ("--n", -1), ("--tau-max", -1), ("--verify-tau-max", "nan"), ("--f-m", 0),
+    ("--trial-mv", "nan"), ("--threshold", 2), ("--min-apply-mv", "nan"),
+    ("--trial-angles-deg", "nan,0,90"),
+])
+def test_cancel_bad_flag_exits_2(flag, value, tmp_path, capsys):
+    assert run("cancel", flag, value, "--out", tmp_path) == 2
+    assert flag in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cancel_fits_at_scenario_fock_cutoff(tmp_path):
+    truth = reference_truth(seed=3)
+    truth = replace(truth, heating={mode: HeatingModel(15.5, 6) for mode in ("X", "Y")})
+    scenario = tmp_path / "cutoff6.json"
+    scenario.write_text(json.dumps(scenario_to_dict(truth)))
+    assert run("cancel", "--scenario", scenario, "--out", tmp_path) == 0
+    rows = read(tmp_path / "trials.csv").strip().split("\n")[1:]
+    fitted = [float(row.split(",")[3]) for row in rows]
+
+    # replay the default trial scans on a fresh lab with the same truth
+    lab = SimLab(truth)
+    grid = np.linspace(0.05 / 40, 0.05, 40)
+    injections = [None] + [Phasor(15.0, angle) for angle in cli._trial_angles(4, None)]
+    expected = [
+        fit_amplitude(lab.trace("X", 1, grid, 400, compensation=inj), 1, 60.0,
+                      fock_cutoff=6).params["A_over_2pi"]
+        for inj in injections
+    ]
+    assert fitted == expected
 
 
 def test_cancel_zero_noise_skips_compensation(tmp_path):
@@ -233,3 +279,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert read(tmp_path / "x.txt") == "hello\n"
     leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
+
+
+# ------------------------------------------------------------------ imports
+
+
+def test_cli_import_leaves_scipy_signal_and_stats_unloaded():
+    # Cold-start cost: each CLI call pays for every module the CLI imports.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, linecancel.cli; "
+            "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

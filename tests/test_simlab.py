@@ -21,11 +21,12 @@ from linecancel.simlab import (
     bin_monitor,
     coherence_time,
     monitor_trace,
-    ou_drift_step,
     reference_truth,
     scenario_from_dict,
     scenario_to_dict,
 )
+
+from oracles import ou_drift_step
 
 TAU_GRID = np.linspace(0.004, 0.06, 8)
 
@@ -185,11 +186,9 @@ def test_ou_step_stationary_statistics():
 
 
 def test_ou_step_zero_sigma_only_decays():
-    rng = np.random.default_rng(0)
-    x = ou_drift_step(5.0, 2.0, 0.0, 10.0, rng)
-    assert x == pytest.approx(5.0 * math.exp(-0.2))
-    with pytest.raises(ValueError):
-        ou_drift_step(0.0, -1.0, 1.0, 1.0, rng)
+    path, final = sl._ou_path(5.0, 3, 2.0, 0.0, 10.0, np.random.default_rng(0))
+    assert path == pytest.approx(5.0 * np.exp(-0.2 * np.arange(1, 4)))
+    assert final == path[-1]
 
 
 def test_ou_path_autocorrelation_time():
@@ -209,8 +208,8 @@ def test_ou_path_matches_stepwise_recursion():
     x = 1.5
     for k in range(50):
         x = ou_drift_step(x, dt, sigma_f, tau_c, rng)
-        assert path[k] == pytest.approx(x, rel=1e-12)
-    assert final == pytest.approx(x, rel=1e-12)
+        assert path[k] == x
+    assert final == x
 
 
 # ----------------------------------------------------------------- monitors

@@ -224,6 +224,8 @@ def cmd_simulate(args):
     _check_pulses(args.n)
     if args.t_d is not None and not (args.t_d >= 0.0 and math.isfinite(args.t_d)):
         raise InputError(f"--t-d must be finite and >= 0, got {args.t_d}")
+    if not math.isfinite(args.analyzer):
+        raise InputError(f"--analyzer must be finite, got {args.analyzer}")
     comp = _parse_comp(args)
 
     grid = np.linspace(tau_min, args.tau_max, args.points)
@@ -241,8 +243,10 @@ def _parse_comp(args):
         raise InputError("--comp-mv and --comp-angle-deg must be given together")
     if mv is None:
         return None
-    if mv < 0.0:
-        raise InputError(f"--comp-mv must be >= 0, got {mv}")
+    if not (mv >= 0.0 and math.isfinite(mv)):
+        raise InputError(f"--comp-mv must be finite and >= 0, got {mv}")
+    if not math.isfinite(deg):
+        raise InputError(f"--comp-angle-deg must be finite, got {deg}")
     return Phasor(mv, math.radians(deg))
 
 

@@ -6,7 +6,7 @@ State space and conventions
 A density matrix is a plain complex ndarray of shape (d, d) with
 d = 2 * (fock_cutoff + 1), basis |spin> (x) |n_phonon>, spin in {down, up},
 index = spin * (fock_cutoff + 1) + n.  Batched operation on shape (B, d, d)
-arrays is supported throughout and is what makes phase-grid averaging cheap.
+arrays is supported throughout.
 
 Free evolution solves
 
@@ -25,19 +25,41 @@ therefore commute at all times, and a segment t0..t1 propagates exactly as
     Phi  = (amplitude / omega_mod) [sin(omega_mod t1 + phase) - sin(omega_mod t0 + phase)],
 
 Phi being the segment's accumulated phase (phase_oracle's antiderivative).
-D acts on each of the four spin blocks as one real symmetric
-(m^2, m^2) matrix, m = fock_cutoff + 1, so a single eigendecomposition per
-cutoff gives exp(u D) for every rate u.
 
 Blue-sideband pulses couple |down, n> <-> |up, n+1> and are applied as exact
 unitaries: the rotation angle is the nominal angle times sqrt(n+1) (exact in
 the n = 0 manifold), |up, 0> is uncoupled and stays put, and so does
 |down, fock_cutoff>, whose partner lies beyond the truncation.
 
+The sequence sector
+-------------------
+Pulses conserve K = n - [spin up], heating and modulation preserve n - n'
+and the spins, and every sequence starts in |down, 0> (K = 0).  So only
+elements with K = K' ever become non-zero: 4m - 2 of the (2m)^2, with
+m = fock_cutoff + 1 (42 of 484 at the default cutoff).  The sequence runner
+behind run_sequence_phases, heating_envelope and the master curves evolves
+just those:
+
+- populations p[spin, n], shape (..., 2, m);
+- coherences c[n] = rho(down n, up n+1), shape (..., m-1).
+
+A pulse is a closed-form 2x2 update on each manifold {|down, n>, |up, n+1>}
+(p[down, n], p[up, n+1], c[n]), leaving p[up, 0] and p[down, cutoff] alone.
+Heating is exp(u G) for two real symmetric tridiagonal generators, one on
+the populations of either spin and one on the coherences, each from one
+cached eigendecomposition per cutoff.  Modulation multiplies c by
+exp(+i Phi).  The readout is sum p[up] - sum p[down], and a run whose
+populations no longer sum to one raises IntegrationError.
+
+The full-space functions (initial_state, sideband_pulse, free_evolution,
+mean_phonon, check_density_matrix) stay for work on arbitrary density
+matrices, such as states outside the sector, and serve the tests as the
+independent full-space route the sector runner is checked against.
+
 Signal convention: run_sequence returns cos(accumulated_phase - analyzer_phase)
 in the ideal limit for every pulse count, so a perfect echo with analyzer 0
 reads +1.  Internally that fixes the sign of the final pulse phase and of the
-spin readout as functions of pulse-count parity; see _SIGN notes inline.
+spin readout as functions of pulse-count parity; see _sequence_signals.
 """
 from __future__ import annotations
 
@@ -73,7 +95,7 @@ _TRACE_TOL = 1e-6
 
 
 class IntegrationError(RuntimeError):
-    """Raised when free evolution loses the trace of the density matrix."""
+    """Raised when free evolution or a sequence run loses the trace of the state."""
 
 
 @dataclass(frozen=True)
@@ -106,6 +128,11 @@ def initial_state(fock_cutoff=DEFAULT_FOCK_CUTOFF):
     return rho
 
 
+def _manifold_angles(fock_cutoff, angle, ideal):
+    """Rotation angle of manifold n = 0..fock_cutoff-1: angle * sqrt(n+1), or angle if ideal."""
+    return np.full(fock_cutoff, float(angle)) if ideal else angle * np.sqrt(np.arange(1.0, fock_cutoff + 1))
+
+
 def _pulse_unitary(fock_cutoff, angle, phase, ideal=False):
     """Blue-sideband rotation on the {|dn,n>, |up,n+1>} manifolds.
 
@@ -119,7 +146,7 @@ def _pulse_unitary(fock_cutoff, angle, phase, ideal=False):
     m = fock_cutoff + 1
     u = np.eye(2 * m, dtype=complex)
     n = np.arange(fock_cutoff)  # manifolds with both partners inside the ladder
-    theta = np.full(n.shape, float(angle)) if ideal else angle * np.sqrt(n + 1.0)
+    theta = _manifold_angles(fock_cutoff, angle, ideal)
     c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
     lo = n          # |down, n>
     hi = m + n + 1  # |up, n+1>
@@ -142,6 +169,8 @@ def sideband_pulse(rho, angle, phase=0.0, ideal=False):
 def _heating_eigensystem(fock_cutoff):
     """(lam, V) with D = V diag(lam) V^T, D the heating dissipator at unit rate.
 
+    Serves free_evolution (through _evolve_batch) on arbitrary full-space
+    states; sequence runs use the sector blocks of _sector_heating instead.
     D acts identically on each (m, m) spin block of rho, as a real symmetric
     matrix on the row-major flattened block: element (n, n') decays at the
     mean of n + (n+1) and n' + (n'+1) (the truncated top level has no a^dag
@@ -214,10 +243,69 @@ def free_evolution(rho, duration, mod=None, heating=None, t_start=0.0):
     return _evolve_batch(rho, duration, t_start, amplitude, omega, phase, gamma, d // 2 - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _sector_heating(fock_cutoff):
+    """((lam_p, V_p), (lam_c, V_c)): the heating dissipator at unit rate on the
+    sector, as eigensystems of its two real symmetric tridiagonal blocks.
+
+    Populations (either spin, m = fock_cutoff + 1 levels): p[n] decays at
+    n + (n+1) (the truncated top level: n) and exchanges with p[n+1] at
+    weight n+1.  Coherences c[n] = rho(down n, up n+1), n < m-1: c[n] decays
+    at the mean of its two levels' rates and exchanges with c[n+1] at weight
+    sqrt((n+1)(n+2)).  These are the sector's rows of the full D in
+    _heating_eigensystem.
+    """
+    n = np.arange(fock_cutoff + 1, dtype=float)
+    decay = n + np.append(n[1:], 0.0)
+    blocks = ((-decay, n[1:]), (-0.5 * (decay[:-1] + decay[1:]), np.sqrt(n[1:-1] * n[2:])))
+    systems = []
+    for diag, off in blocks:
+        lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lam.flags.writeable = False
+        vec.flags.writeable = False
+        systems.append((lam, vec))
+    return tuple(systems)
+
+
+def _sector_pulse(fock_cutoff, angle, phase, ideal):
+    """Coefficients (cos^2, sin^2, cos*w, w^2) of one pulse on every manifold.
+
+    On {|down, n>, |up, n+1>} the pulse is U = [[cos, w], [-w*, cos]] with
+    cos = cos(theta/2), w = -i e^(-i phase) sin(theta/2), the same rotation
+    _pulse_unitary writes into the full space.
+    """
+    theta = _manifold_angles(fock_cutoff, angle, ideal)
+    cos, sin = np.cos(theta / 2.0), np.sin(theta / 2.0)
+    w = -1j * np.exp(-1j * phase) * sin
+    return cos * cos, sin * sin, cos * w, w * w
+
+
+def _apply_sector_pulse(p, c, coeffs):
+    """U rho U^dag per manifold: a = p[down, n], b = p[up, n+1], x = c[n].
+
+    a' = cos^2 a + sin^2 b + r, b' = sin^2 a + cos^2 b - r, r = 2 Re(cos w x*),
+    x' = cos^2 x - w^2 x* + cos w (b - a).  p[up, 0] and p[down, cutoff]
+    belong to no manifold and keep their values.
+    """
+    cos2, sin2, cos_w, w2 = coeffs
+    a, b = p[..., 0, :-1], p[..., 1, 1:]
+    cross = 2.0 * (cos_w * c.conj()).real
+    c = cos2 * c - w2 * c.conj() + cos_w * (b - a)
+    a_new = cos2 * a + sin2 * b + cross
+    b_new = sin2 * a + cos2 * b - cross
+    p[..., 0, :-1] = a_new
+    p[..., 1, 1:] = b_new
+    return p, c
+
+
 def _sequence_signals(
     n_pulses, tau, amplitude, omega_mod, phases, gamma, fock_cutoff, analyzer_phase, ideal_pulses=False
 ):
     """Shared driver: batched sequence run, returns signals shaped like `phases`/`gamma`.
+
+    Evolves only the sector the sequence can reach (module docstring):
+    populations p of shape (..., 2, m) indexed [spin, n], and coherences
+    c[n] = rho(down n, up n+1) of shape (..., m-1).
 
     The analyzer convention (see module docstring): the physical phase of the
     closing pi/2 pulse is (-1)^(n+1) * analyzer_phase, and the returned signal
@@ -228,30 +316,41 @@ def _sequence_signals(
     gamma_arr = np.asarray(gamma, dtype=float)
     batch_shape = np.broadcast_shapes(phases_arr.shape, gamma_arr.shape)
     m = fock_cutoff + 1
-    d = 2 * m
-    rho = np.zeros(batch_shape + (d, d), dtype=complex)
-    rho[..., 0, 0] = 1.0
+    p = np.zeros(batch_shape + (2, m))
+    p[..., 0, 0] = 1.0
+    c = np.zeros(batch_shape + (m - 1,), dtype=complex)
     phases_b = np.broadcast_to(phases_arr, batch_shape)
     gamma_b = np.broadcast_to(gamma_arr, batch_shape)
+    heated = bool(np.any(gamma_arr > 0.0))
+    if heated:
+        (lam_p, vec_p), (lam_c, vec_c) = _sector_heating(fock_cutoff)
 
     seq = CPSequence(n_pulses, tau)
     edges = seq.segment_edges()
-    u_half = _pulse_unitary(fock_cutoff, math.pi / 2.0, 0.0, ideal_pulses)
-    u_pi = _pulse_unitary(fock_cutoff, math.pi, 0.0, ideal_pulses)
+    half = _sector_pulse(fock_cutoff, math.pi / 2.0, 0.0, ideal_pulses)
+    pi = _sector_pulse(fock_cutoff, math.pi, 0.0, ideal_pulses)
     sign_parity = -1.0 if n_pulses % 2 == 0 else 1.0
-    u_close = _pulse_unitary(fock_cutoff, math.pi / 2.0, sign_parity * analyzer_phase, ideal_pulses)
+    close = _sector_pulse(fock_cutoff, math.pi / 2.0, sign_parity * analyzer_phase, ideal_pulses)
 
-    rho = u_half @ rho @ u_half.conj().T
+    p, c = _apply_sector_pulse(p, c, half)
     for i in range(len(edges) - 1):
-        rho = _evolve_batch(
-            rho, edges[i + 1] - edges[i], edges[i], amplitude, omega_mod, phases_b, gamma_b, fock_cutoff
-        )
+        duration = edges[i + 1] - edges[i]
+        if heated:
+            u = gamma_b * duration
+            p = (p @ vec_p) * np.exp(np.multiply.outer(u, lam_p))[..., None, :] @ vec_p.T
+            c = (c @ vec_c) * np.exp(np.multiply.outer(u, lam_c)) @ vec_c.T
+        if amplitude > 0.0:
+            shifted = phases_b + omega_mod * edges[i]
+            big_phi = accumulated_phase_grid(CPSequence(0, duration), amplitude, omega_mod, shifted)
+            c = c * np.exp(1j * big_phi)[..., None]
         if i < len(edges) - 2:
-            rho = u_pi @ rho @ u_pi.conj().T
-    rho = u_close @ rho @ u_close.conj().T
+            p, c = _apply_sector_pulse(p, c, pi)
+    p, c = _apply_sector_pulse(p, c, close)
 
-    populations = np.einsum("...ii->...i", rho).real
-    sigma_z = populations[..., m:].sum(axis=-1) - populations[..., :m].sum(axis=-1)
+    traces = np.abs(p.sum(axis=(-2, -1)) - 1.0)
+    if traces.max() > _TRACE_TOL:
+        raise IntegrationError(f"trace drifted by {traces.max():.2e} over the sequence")
+    sigma_z = p[..., 1, :].sum(axis=-1) - p[..., 0, :].sum(axis=-1)
     signal = (-1.0) ** n_pulses * sigma_z
     if signal.ndim == 0:
         return float(signal)

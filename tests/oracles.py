@@ -4,6 +4,10 @@ Everything here deliberately avoids the closed forms used by the package:
 integrals are evaluated by adaptive Simpson quadrature, and density-matrix
 free evolution by fixed-step RK4 on the master equation, so that agreement
 between package and oracle is evidence, not tautology.
+full_rho_sequence_signals runs a sequence on the whole (d, d) density matrix
+with the package's full-space pulse unitary and exact propagator; the
+sequence runner, which keeps only the sector the dynamics can reach, must
+match it to rounding.
 multistart_fit_phase is the exception that checks a search, not a formula:
 it minimizes the package's own echo model by brute-force restarts.
 ou_drift_step is the lab's drift recursion one scalar step at a time, the
@@ -198,6 +202,63 @@ def rk4_sequence_signal(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock
     populations = np.einsum("...ii->...i", rho).real
     sigma_z = populations[..., m:].sum(axis=-1) - populations[..., :m].sum(axis=-1)
     return (-1.0) ** n_pulses * sigma_z
+
+
+def full_rho_sequence_state(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock_cutoff,
+                            analyzer_phase, ideal_pulses=False):
+    """Final (..., d, d) density matrix of a sequence run on the full Fock space.
+
+    The pre-sector quantum_sim sequence runner: every pulse is a stacked (d, d)
+    `u @ rho @ u^dag` with quantum_sim._pulse_unitary and every segment is
+    quantum_sim._evolve_batch, so nothing here uses the sector reduction.
+    Batch shape is the broadcast of `phases` and `gamma`.
+    """
+    from linecancel.model_core import CPSequence
+    from linecancel.quantum_sim import _evolve_batch, _pulse_unitary
+
+    phases_arr = np.asarray(phases, dtype=float)
+    gamma_arr = np.asarray(gamma, dtype=float)
+    batch_shape = np.broadcast_shapes(phases_arr.shape, gamma_arr.shape)
+    m = fock_cutoff + 1
+    d = 2 * m
+    rho = np.zeros(batch_shape + (d, d), dtype=complex)
+    rho[..., 0, 0] = 1.0
+    phases_b = np.broadcast_to(phases_arr, batch_shape)
+    gamma_b = np.broadcast_to(gamma_arr, batch_shape)
+
+    seq = CPSequence(n_pulses, tau)
+    edges = seq.segment_edges()
+    u_half = _pulse_unitary(fock_cutoff, math.pi / 2.0, 0.0, ideal_pulses)
+    u_pi = _pulse_unitary(fock_cutoff, math.pi, 0.0, ideal_pulses)
+    sign_parity = -1.0 if n_pulses % 2 == 0 else 1.0
+    u_close = _pulse_unitary(fock_cutoff, math.pi / 2.0, sign_parity * analyzer_phase, ideal_pulses)
+
+    rho = u_half @ rho @ u_half.conj().T
+    for i in range(len(edges) - 1):
+        rho = _evolve_batch(
+            rho, edges[i + 1] - edges[i], edges[i], amplitude, omega_mod, phases_b, gamma_b, fock_cutoff
+        )
+        if i < len(edges) - 2:
+            rho = u_pi @ rho @ u_pi.conj().T
+    return u_close @ rho @ u_close.conj().T
+
+
+def full_rho_sequence_signals(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock_cutoff,
+                              analyzer_phase, ideal_pulses=False):
+    """quantum_sim._sequence_signals on the full (d, d) density matrix.
+
+    Same signature and readout, (-1)^n * <sigma_z>; the reference the sector
+    runner must match to rounding.
+    """
+    rho = full_rho_sequence_state(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock_cutoff,
+                                  analyzer_phase, ideal_pulses)
+    m = fock_cutoff + 1
+    populations = np.einsum("...ii->...i", rho).real
+    sigma_z = populations[..., m:].sum(axis=-1) - populations[..., :m].sum(axis=-1)
+    signal = (-1.0) ** n_pulses * sigma_z
+    if signal.ndim == 0:
+        return float(signal)
+    return signal
 
 
 def multistart_fit_phase(trace, f_m):

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import linecancel.cli as cli
+import linecancel.quantum_sim as qs
 from linecancel.estimator import fit_amplitude
-from linecancel.model_core import TWO_PI, HeatingModel
+from linecancel.model_core import TWO_PI, CPSequence, HeatingModel
 from linecancel.phasor_cancel import Phasor
 from linecancel.simlab import SimLab, reference_truth, scenario_to_dict
 
@@ -40,7 +41,7 @@ def test_simulate_writes_deterministic_trace(tmp_path):
     assert len(lines) == 21
 
 
-def test_simulate_flag_validation(tmp_path):
+def test_simulate_flag_validation(tmp_path, capsys):
     out = ["--out", tmp_path]
     assert run("simulate", "--points", 0, *out) == 2
     assert run("simulate", "--tau-max", -0.1, *out) == 2
@@ -48,6 +49,18 @@ def test_simulate_flag_validation(tmp_path):
     assert run("simulate", "--comp-mv", 5.0, *out) == 2  # angle missing
     assert run("simulate", "--t-d", -0.001, *out) == 2
     assert run("simulate", "--t-d", "nan", *out) == 2
+    capsys.readouterr()
+    for flag, argv in (
+        ("--comp-mv", ["--comp-mv", "nan", "--comp-angle-deg", 0.0]),
+        ("--comp-mv", ["--comp-mv", "inf", "--comp-angle-deg", 0.0]),
+        ("--comp-angle-deg", ["--comp-mv", 1.0, "--comp-angle-deg", "nan"]),
+        ("--comp-angle-deg", ["--comp-mv", 1.0, "--comp-angle-deg=-inf"]),
+        ("--analyzer", ["--analyzer", "nan"]),
+        ("--analyzer", ["--analyzer", "inf"]),
+    ):
+        assert run("simulate", *argv, *out) == 2, argv
+        assert flag in capsys.readouterr().err, argv
+    assert not (tmp_path / "trace.csv").exists()
 
 
 def test_simulate_rejects_bad_scenario(tmp_path):
@@ -243,6 +256,20 @@ def test_figures_fig2a_bundle(tmp_path):
     assert len(model) == 401
     fit = json.loads(read(tmp_path / "fig2a_fit.json"))
     assert fit["params"]["A_over_2pi"] == pytest.approx(53.9, abs=5.0)
+
+
+def test_integration_error_exits_3(tmp_path, monkeypatch, capsys):
+    """A density-matrix run that loses its trace raises IntegrationError, and
+    the CLI maps it to exit 3.  A negative tolerance makes every trace check
+    fail, so the path runs without contriving a broken state.
+    """
+    monkeypatch.setattr(qs, "_TRACE_TOL", -1.0)
+    spec = qs.SequenceSpec(CPSequence(1, 0.01), heating=HeatingModel(6.0))
+    with pytest.raises(qs.IntegrationError):
+        qs.run_sequence_phases(spec, np.zeros(4))
+    capsys.readouterr()
+    assert run("figures", "--id", "figS2", "--out", tmp_path) == 3
+    assert "integration" in capsys.readouterr().err
 
 
 def test_figures_figS2_product_scan(tmp_path):

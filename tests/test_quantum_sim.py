@@ -145,6 +145,61 @@ def test_integrator_step_halving_is_converged():
                     assert gaps[1] <= gaps[0] / 8.0, case
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(0, 4),
+    cutoff=st.integers(4, 14),
+    ideal=st.booleans(),
+    tau=st.floats(1e-3, 0.1),
+    amplitude_hz=st.sampled_from([0.0, 17.0, 53.9, 120.0]),
+    nbar_dot=st.sampled_from([0.0, 0.5, 6.0, 40.0]),
+    analyzer=st.floats(-math.pi, math.pi),
+    n_phases=st.integers(1, 5),
+)
+def test_sector_runner_matches_full_rho_oracle(n, cutoff, ideal, tau, amplitude_hz, nbar_dot, analyzer,
+                                               n_phases):
+    """The sector runner against the full (d, d) density-matrix oracle, to 1e-12.
+
+    Each example runs a broadcast (phases x rates) batch, with a heating-free
+    column among the rates, and the heating_envelope form (unit-time
+    sequence, one rate u = nbar_dot * tau per item, no modulation).
+    """
+    amp, omega = TWO_PI * amplitude_hz, TWO_PI * 60.0
+    phis = np.linspace(0.0, TWO_PI, n_phases, endpoint=False)[:, None] + 0.3
+    gamma = np.array([0.0, nbar_dot, 2.0 * nbar_dot])
+    args = (n, tau, amp, omega, phis, gamma, cutoff, analyzer, ideal)
+    sector = qs._sequence_signals(*args)
+    assert sector.shape == (n_phases, 3)
+    assert np.max(np.abs(sector - oracles.full_rho_sequence_signals(*args))) <= 1e-12
+
+    u = nbar_dot * np.array([0.01, 0.05, 0.2, 1.0])
+    args = (n, 1.0, 0.0, 1.0, 0.0, u, cutoff, 0.0, ideal)
+    assert np.max(np.abs(qs._sequence_signals(*args) - oracles.full_rho_sequence_signals(*args))) <= 1e-12
+
+
+@pytest.mark.parametrize("ideal", [False, True])
+def test_sequence_state_stays_in_the_pulse_sector(ideal):
+    """Every element the sector runner drops is zero in the full density matrix.
+
+    The pulses conserve K = n - [spin up], heating and modulation preserve
+    n - n' and the spins, and the start state |down, 0> has K = 0, so only
+    elements with K = K' can become non-zero.  Checked on the full-space
+    oracle after a heated, modulated three-pulse sequence at cutoff 10.
+    """
+    phis = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+    rho = oracles.full_rho_sequence_state(
+        3, 0.03, TWO_PI * 40.4, TWO_PI * 60.0, phis, 30.0, CUTOFF, 0.4, ideal
+    )
+    index = np.arange(D)
+    k = index % M - index // M
+    outside = k[:, None] != k[None, :]
+    assert np.max(np.abs(rho[:, outside])) <= 1e-14
+    # ... and the sector, 2m populations plus m-1 coherences and their
+    # conjugates (42 of 484 elements), is all populated: no smaller one would do.
+    assert np.count_nonzero(~outside) == 4 * M - 2
+    assert np.all(np.max(np.abs(rho[:, ~outside]), axis=0) > 1e-14)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(0, 3),

@@ -41,7 +41,6 @@ from .model_core import (
     HeatingModel,
     ModulationParams,
     RamseyTrace,
-    analytic_signal,
     bessel_j0,  # noqa: F401  not called here; perfbench/tracing.py wraps this import site
 )
 from .phasor_cancel import (
@@ -53,9 +52,8 @@ from .phasor_cancel import (
 )
 from .quantum_sim import (
     IntegrationError,
-    SequenceSpec,
-    cached_heating_envelope,
-    run_sequence_phases,
+    cached_heating_envelope,  # noqa: F401  not called here; perfbench/tracing.py wraps this import site
+    product_model_scan,
 )
 from .simlab import (
     SchemaError,
@@ -548,23 +546,16 @@ _FIGS2_NBAR = 6.0
 def _figure_figS2(out, seed_override):
     del seed_override  # fully deterministic, no sampling
     tau_grid = np.linspace(0.006, 0.096, 16)
-    heating = HeatingModel(_FIGS2_NBAR)
-    phases = np.linspace(0.0, TWO_PI, 64, endpoint=False)
     summary = {}
     for n, a_hz in _FIGS2_SETS:
         mod = ModulationParams.from_hz(a_hz, _F_LINE)
-        rows = []
-        for tau in tau_grid:
-            seq = CPSequence(n, float(tau))
-            c_tot = float(np.mean(run_sequence_phases(SequenceSpec(seq, mod, heating), phases)))
-            c_heat = float(cached_heating_envelope(n, _FIGS2_NBAR, np.array([tau]))[0])
-            c_mod = analytic_signal(seq, mod)
-            product = c_heat * c_mod
-            rows.append((float(tau), c_tot, c_heat, c_mod, product, abs(c_tot - product)))
+        c_tot, c_heat, c_mod = product_model_scan(CPSequence(n, 1.0), mod, HeatingModel(_FIGS2_NBAR), tau_grid)
+        product = c_heat * c_mod
+        abs_diff = np.abs(c_tot - product)
         _write_csv(os.path.join(out, f"figS2_n{n}.csv"),
                    ["tau_s", "c_total", "c_heat", "c_mod", "product", "abs_diff"],
-                   rows)
-        summary[f"n{n}"] = {"max_abs_diff": max(row[-1] for row in rows)}
+                   np.column_stack((tau_grid, c_tot, c_heat, c_mod, product, abs_diff)).tolist())
+        summary[f"n{n}"] = {"max_abs_diff": float(abs_diff.max())}
     _write_json(os.path.join(out, "figS2_summary.json"), summary)
 
 

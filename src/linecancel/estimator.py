@@ -1,6 +1,7 @@
 """Weighted least-squares extraction of modulation and heating parameters.
 
-Four fits, all driven by the same Levenberg-Marquardt core:
+Four fits; all but the straight-line slope fit run on one Levenberg-Marquardt
+core:
 
 * fit_amplitude: phase-averaged contrast vs wait time -> modulation amplitude
   and heating rate, with contrast_model: the heating envelope times
@@ -12,7 +13,7 @@ Four fits, all driven by the same Levenberg-Marquardt core:
   periodic in phi_d and its local minima are real, so the fit starts from
   the best point of a chi^2 scan over amplitude x phase x heating rate.
 * fit_phase_slope: unwrapped modulation phase vs trigger delay -> slope, the
-  actual noise frequency in rad/s.
+  actual noise frequency in rad/s (weighted np.polyfit).
 * fit_gaussian_envelope: short-time contrast decay -> Gaussian time constant.
 
 Uncertainties are 1-sigma from inv(J^T J) with shot-noise-scaled residuals;
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levmar import levenberg_marquardt, weighted_linear_fit
+from .levmar import levenberg_marquardt
 from .model_core import TWO_PI, CPSequence, RamseyTrace, bessel_j0, filter_F, filter_F_general
 from .phase_oracle import accumulated_phase_grid
 from .quantum_sim import DEFAULT_FOCK_CUTOFF, cached_heating_envelope
@@ -266,12 +267,12 @@ def fit_phase_slope(delays, period=TWO_PI):
     phi = np.unwrap(phi, period=period)
     phi -= period * math.floor(phi[0] / period)  # first point into [0, period)
     ambiguous = bool(np.any(np.abs(np.diff(phi)) >= period / 2.0))
-    (a, b), cov = weighted_linear_fit(t_d, phi, sig)
+    (b, a), cov = np.polyfit(t_d, phi, 1, w=1.0 / sig, cov="unscaled")
     return SlopeFit(
         slope=float(b),
-        sigma=math.sqrt(max(cov[1, 1], 0.0)),
+        sigma=math.sqrt(max(cov[0, 0], 0.0)),
         intercept=float(a),
-        intercept_sigma=math.sqrt(max(cov[0, 0], 0.0)),
+        intercept_sigma=math.sqrt(max(cov[1, 1], 0.0)),
         ambiguous=ambiguous,
     )
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LMResult", "levenberg_marquardt", "weighted_linear_fit"]
+__all__ = ["LMResult", "levenberg_marquardt"]
 
 _REL_STEP = 1e-6
 _LAMBDA0 = 1e-3
@@ -35,12 +35,12 @@ class LMResult:
     n_iterations: int
 
 
-def _jacobian(residual, x, floor, rel_step):
+def _jacobian(residual, x, floor):
     """Central-difference Jacobian, one column per parameter."""
     x = np.asarray(x, dtype=float)
     cols = []
     for j in range(x.size):
-        h = rel_step * max(abs(x[j]), floor[j])
+        h = _REL_STEP * max(abs(x[j]), floor[j])
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -49,7 +49,7 @@ def _jacobian(residual, x, floor, rel_step):
     return np.column_stack(cols)
 
 
-def levenberg_marquardt(residual, x0, max_iter=200, rel_step=_REL_STEP, floor=None):
+def levenberg_marquardt(residual, x0, max_iter=200, floor=None):
     """Minimize sum(residual(x)**2) from x0; returns an LMResult.
 
     floor sets the absolute parameter scale used for finite-difference steps
@@ -68,7 +68,7 @@ def levenberg_marquardt(residual, x0, max_iter=200, rel_step=_REL_STEP, floor=No
 
     for it in range(max_iter):
         n_done = it + 1
-        jac = _jacobian(residual, x, floor, rel_step)
+        jac = _jacobian(residual, x, floor)
         grad = jac.T @ r
         jtj = jac.T @ jac
         diag = np.diag(jtj).copy()
@@ -103,25 +103,10 @@ def levenberg_marquardt(residual, x0, max_iter=200, rel_step=_REL_STEP, floor=No
             converged = True
             break
 
-    jac = _jacobian(residual, x, floor, rel_step)
+    jac = _jacobian(residual, x, floor)
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
     return LMResult(x=x, cov=cov, cost=cost, converged=converged, n_iterations=n_done)
-
-
-def weighted_linear_fit(x, y, sigma):
-    """Weighted straight-line fit y ~ a + b*x.
-
-    Returns ((a, b), cov) with cov = inv(design^T W design), consistent with
-    the LM covariance convention above.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = 1.0 / np.asarray(sigma, dtype=float)
-    design = np.column_stack([np.ones_like(x), x]) * w[:, None]
-    params, *_ = np.linalg.lstsq(design, y * w, rcond=None)
-    cov = np.linalg.inv(design.T @ design)
-    return params, cov

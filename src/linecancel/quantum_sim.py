@@ -25,6 +25,10 @@ therefore commute at all times, and a segment t0..t1 propagates exactly as
     Phi  = (amplitude / omega_mod) [sin(omega_mod t1 + phase) - sin(omega_mod t0 + phase)],
 
 Phi being the segment's accumulated phase (phase_oracle's antiderivative).
+Because D keeps n' - n, it is one real symmetric tridiagonal chain per
+diagonal k = n' - n of a spin block, the same for k and -k
+(_heating_chain); exp(u D) comes from each chain's cached
+eigendecomposition.
 
 Blue-sideband pulses couple |down, n> <-> |up, n+1> and are applied as exact
 unitaries: the rotation angle is the nominal angle times sqrt(n+1) (exact in
@@ -37,24 +41,25 @@ Pulses conserve K = n - [spin up], heating and modulation preserve n - n'
 and the spins, and every sequence starts in |down, 0> (K = 0).  So only
 elements with K = K' ever become non-zero: 4m - 2 of the (2m)^2, with
 m = fock_cutoff + 1 (42 of 484 at the default cutoff).  The sequence runner
-behind run_sequence_phases, heating_envelope and the master curves evolves
-just those:
+behind run_sequence_phases, heating_envelope, product_model_scan and the
+master curves evolves just those:
 
 - populations p[spin, n], shape (..., 2, m);
 - coherences c[n] = rho(down n, up n+1), shape (..., m-1).
 
 A pulse is a closed-form 2x2 update on each manifold {|down, n>, |up, n+1>}
 (p[down, n], p[up, n+1], c[n]), leaving p[up, 0] and p[down, cutoff] alone.
-Heating is exp(u G) for two real symmetric tridiagonal generators, one on
-the populations of either spin and one on the coherences, each from one
-cached eigendecomposition per cutoff.  Modulation multiplies c by
-exp(+i Phi).  The readout is sum p[up] - sum p[down], and a run whose
-populations no longer sum to one raises IntegrationError.
+Heating runs the populations of either spin on chain k = 0 and the
+coherences on chain k = 1, the sector's two diagonals of D.  Modulation
+multiplies c by exp(+i Phi).  The readout is sum p[up] - sum p[down], and a
+run whose populations no longer sum to one raises IntegrationError.
 
 The full-space functions (initial_state, sideband_pulse, free_evolution,
 mean_phonon, check_density_matrix) stay for work on arbitrary density
 matrices, such as states outside the sector, and serve the tests as the
 independent full-space route the sector runner is checked against.
+free_evolution heats every diagonal of every spin block on its chain, so
+full space and sector share one dissipator.
 
 Signal convention: run_sequence returns cos(accumulated_phase - analyzer_phase)
 in the ideal limit for every pulse count, so a perfect echo with analyzer 0
@@ -84,6 +89,7 @@ __all__ = [
     "phase_averaged_sequence",
     "heating_envelope",
     "cached_heating_envelope",
+    "product_model_scan",
     "product_model_check",
     "mean_phonon",
     "check_density_matrix",
@@ -166,26 +172,25 @@ def sideband_pulse(rho, angle, phase=0.0, ideal=False):
 
 
 @functools.lru_cache(maxsize=None)
-def _heating_eigensystem(fock_cutoff):
-    """(lam, V) with D = V diag(lam) V^T, D the heating dissipator at unit rate.
+def _heating_chain(fock_cutoff, k):
+    """(lam, V) with V diag(lam) V^T the unit-rate heating dissipator D on
+    diagonal k >= 0 of a spin block: the elements rho(n, n+k), n < m - k,
+    m = fock_cutoff + 1.
 
-    Serves free_evolution (through _evolve_batch) on arbitrary full-space
-    states; sequence runs use the sector blocks of _sector_heating instead.
-    D acts identically on each (m, m) spin block of rho, as a real symmetric
-    matrix on the row-major flattened block: element (n, n') decays at the
-    mean of n + (n+1) and n' + (n'+1) (the truncated top level has no a^dag
-    channel, so just n), and a rho a^dag / a^dag rho a exchange (n, n') with
-    (n+1, n'+1) at weight sqrt((n+1)(n'+1)).
+    D only exchanges (n, n') with (n+1, n'+1), so it keeps n' - n and is one
+    real symmetric tridiagonal chain per diagonal: element (n, n+k) decays
+    at the mean of its two levels' rates, n + (n+1) each (the truncated top
+    level has no a^dag channel, so just n), and a rho a^dag / a^dag rho a
+    exchange it with (n+1, n+k+1) at weight sqrt((n+1)(n+k+1)).  D is
+    symmetric under n <-> n', so diagonal -k runs on chain k.  Chain 0
+    carries the sector's populations, chain 1 its coherences.
     """
     m = fock_cutoff + 1
-    n = np.arange(m, dtype=float)
-    decay = n + np.append(n[1:], 0.0)
-    dmat = np.diag(-0.5 * (decay[:, None] + decay[None, :]).ravel())
-    lower = (np.arange(m - 1)[:, None] * m + np.arange(m - 1)).ravel()
-    weight = np.outer(np.sqrt(n[1:]), np.sqrt(n[1:])).ravel()
-    dmat[lower, lower + m + 1] = weight
-    dmat[lower + m + 1, lower] = weight
-    lam, vec = np.linalg.eigh(dmat)
+    levels = np.arange(m, dtype=float)
+    decay = levels + np.append(levels[1:], 0.0)
+    diag = -0.5 * (decay[: m - k] + decay[k:])
+    off = np.sqrt(levels[1 : m - k] * levels[1 + k :])
+    lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     lam.flags.writeable = False
     vec.flags.writeable = False
     return lam, vec
@@ -204,13 +209,16 @@ def _evolve_batch(rho, duration, t_start, amplitude, omega_mod, phases, gamma, f
     m = fock_cutoff + 1
     batch_shape = rho.shape[:-2]
     if heated:
-        lam, vec = _heating_eigensystem(fock_cutoff)
-        # (..., 2, m, 2, m) -> (... * 4, m*m): every spin block of every batch
-        # item as one flattened row, so each basis change is a single matmul.
-        blocks = np.swapaxes(rho.reshape(batch_shape + (2, m, 2, m)), -3, -2).reshape(-1, m * m) @ vec
-        blocks = blocks.reshape(batch_shape + (4, m * m))
-        blocks *= np.exp(np.multiply.outer(gamma_arr * duration, lam))[..., None, :]
-        blocks = (blocks.reshape(-1, m * m) @ vec.T).reshape(batch_shape + (2, 2, m, m))
+        # (..., 2, m, 2, m) -> (..., 2, 2, m, m): spin blocks, each heated one
+        # diagonal (n, n+k) at a time on its chain.
+        blocks = np.swapaxes(rho.reshape(batch_shape + (2, m, 2, m)), -3, -2).copy()
+        for k in range(1 - m, m):
+            lam, vec = _heating_chain(fock_cutoff, abs(k))
+            rows = np.arange(max(0, -k), m - max(0, k))
+            factor = np.exp(np.multiply.outer(gamma_arr * duration, lam))[..., None, None, :]
+            x = blocks[..., rows, rows + k]  # 2-D matmuls: one gemm each, not one per item
+            x = (x.reshape(-1, rows.size) @ vec).reshape(x.shape) * factor
+            blocks[..., rows, rows + k] = (x.reshape(-1, rows.size) @ vec.T).reshape(x.shape)
         rho = np.swapaxes(blocks, -3, -2).reshape(rho.shape)
     if amplitude > 0.0:
         shifted = np.asarray(phases, dtype=float) + omega_mod * t_start
@@ -241,30 +249,6 @@ def free_evolution(rho, duration, mod=None, heating=None, t_start=0.0):
     phase = mod.phase if mod is not None else 0.0
     gamma = heating.nbar_dot if heating is not None else 0.0
     return _evolve_batch(rho, duration, t_start, amplitude, omega, phase, gamma, d // 2 - 1)
-
-
-@functools.lru_cache(maxsize=None)
-def _sector_heating(fock_cutoff):
-    """((lam_p, V_p), (lam_c, V_c)): the heating dissipator at unit rate on the
-    sector, as eigensystems of its two real symmetric tridiagonal blocks.
-
-    Populations (either spin, m = fock_cutoff + 1 levels): p[n] decays at
-    n + (n+1) (the truncated top level: n) and exchanges with p[n+1] at
-    weight n+1.  Coherences c[n] = rho(down n, up n+1), n < m-1: c[n] decays
-    at the mean of its two levels' rates and exchanges with c[n+1] at weight
-    sqrt((n+1)(n+2)).  These are the sector's rows of the full D in
-    _heating_eigensystem.
-    """
-    n = np.arange(fock_cutoff + 1, dtype=float)
-    decay = n + np.append(n[1:], 0.0)
-    blocks = ((-decay, n[1:]), (-0.5 * (decay[:-1] + decay[1:]), np.sqrt(n[1:-1] * n[2:])))
-    systems = []
-    for diag, off in blocks:
-        lam, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        lam.flags.writeable = False
-        vec.flags.writeable = False
-        systems.append((lam, vec))
-    return tuple(systems)
 
 
 def _sector_pulse(fock_cutoff, angle, phase, ideal):
@@ -305,7 +289,8 @@ def _sequence_signals(
 
     Evolves only the sector the sequence can reach (module docstring):
     populations p of shape (..., 2, m) indexed [spin, n], and coherences
-    c[n] = rho(down n, up n+1) of shape (..., m-1).
+    c[n] = rho(down n, up n+1) of shape (..., m-1).  Heating applies
+    heating chain 0 to p and chain 1 to c, both looked up once per run.
 
     The analyzer convention (see module docstring): the physical phase of the
     closing pi/2 pulse is (-1)^(n+1) * analyzer_phase, and the returned signal
@@ -323,7 +308,8 @@ def _sequence_signals(
     gamma_b = np.broadcast_to(gamma_arr, batch_shape)
     heated = bool(np.any(gamma_arr > 0.0))
     if heated:
-        (lam_p, vec_p), (lam_c, vec_c) = _sector_heating(fock_cutoff)
+        lam_p, vec_p = _heating_chain(fock_cutoff, 0)
+        lam_c, vec_c = _heating_chain(fock_cutoff, 1)
 
     seq = CPSequence(n_pulses, tau)
     edges = seq.segment_edges()
@@ -440,13 +426,31 @@ def cached_heating_envelope(n_pulses, nbar_dot, tau, fock_cutoff=DEFAULT_FOCK_CU
     return out
 
 
-def product_model_check(seq_template, mod, heating, tau_grid, n_phases=64, ideal_pulses=False):
-    """Worst-case error of the factorization C_total ~= C_heat * C_modulation.
+def product_model_scan(seq_template, mod, heating, tau_grid, n_phases=64, ideal_pulses=False):
+    """(c_total, c_heat, c_mod) over tau_grid: the terms of C_total ~= C_heat * C_mod.
 
-    For each tau in tau_grid, compares the phase-averaged full simulation
-    (modulation and heating together) against the product of the heating-only
-    envelope and the analytic phase-averaged modulation contrast.  Returns the
-    maximum absolute difference over the grid.
+    c_total is the phase-averaged simulation with modulation and heating
+    together (phase_averaged_sequence), c_heat the exact heating-only
+    envelope (one batched heating_envelope call) and c_mod the analytic
+    phase-averaged modulation contrast, each an array shaped like tau_grid.
+    Only seq_template's pulse count is used.
+    """
+    from .model_core import analytic_signal
+
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    c_heat = heating_envelope(seq_template, heating, tau_grid, ideal_pulses)
+    c_total = np.empty_like(tau_grid)
+    c_mod = np.empty_like(tau_grid)
+    for i, tau in enumerate(tau_grid):
+        seq = CPSequence(seq_template.n_pulses, float(tau))
+        c_total[i] = phase_averaged_sequence(SequenceSpec(seq, mod, heating, ideal_pulses=ideal_pulses), n_phases)
+        c_mod[i] = analytic_signal(seq, mod)
+    return c_total, c_heat, c_mod
+
+
+def product_model_check(seq_template, mod, heating, tau_grid, n_phases=64, ideal_pulses=False):
+    """Worst-case error of the factorization C_total ~= C_heat * C_modulation:
+    max |c_total - c_heat * c_mod| over product_model_scan.
 
     The free evolution alone factorizes exactly: the modulation term is
     diagonal and the dissipator is phase-covariant, so they commute segment
@@ -459,19 +463,8 @@ def product_model_check(seq_template, mod, heating, tau_grid, n_phases=64, ideal
     tenths (ideal_pulses=True roughly halves it but the dark-state pathway
     remains), so the product form is a fitting convenience, not an identity.
     """
-    from .model_core import analytic_signal
-
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    env = heating_envelope(seq_template, heating, tau_grid, ideal_pulses)
-    worst = 0.0
-    grid = np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)
-    for tau, env_val in zip(tau_grid, env):
-        seq = CPSequence(seq_template.n_pulses, float(tau))
-        spec = SequenceSpec(seq, mod, heating, ideal_pulses=ideal_pulses)
-        c_tot = float(np.mean(run_sequence_phases(spec, grid)))
-        c_mod = analytic_signal(seq, mod)
-        worst = max(worst, abs(c_tot - env_val * c_mod))
-    return worst
+    c_total, c_heat, c_mod = product_model_scan(seq_template, mod, heating, tau_grid, n_phases, ideal_pulses)
+    return float(np.max(np.abs(c_total - c_heat * c_mod)))
 
 
 def mean_phonon(rho):

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimator import shot_noise_sigma
-from .model_core import TWO_PI, CPSequence, HeatingModel, RamseyTrace
+from .model_core import TWO_PI, CPSequence, HeatingModel, RamseyTrace, signal_to_p1
 from .phase_oracle import accumulated_phase_grid
 from .phasor_cancel import Phasor
 from .quantum_sim import cached_heating_envelope
@@ -85,8 +85,8 @@ class DriftParams:
     def __post_init__(self):
         if self.sigma_f < 0.0 or not math.isfinite(self.sigma_f):
             raise ValueError(f"sigma_f must be finite and >= 0, got {self.sigma_f}")
-        if self.tau_c <= 0.0:
-            raise ValueError(f"tau_c must be > 0, got {self.tau_c}")
+        if not (self.tau_c > 0.0 and math.isfinite(self.tau_c)):
+            raise ValueError(f"tau_c must be finite and > 0, got {self.tau_c}")
 
 
 @dataclass(frozen=True)
@@ -109,15 +109,15 @@ class LabTruth:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.transfer_r <= 0.0:
-            raise ValueError(f"transfer_r must be > 0, got {self.transfer_r}")
-        if self.f_line <= 0.0:
-            raise ValueError(f"f_line must be > 0, got {self.f_line}")
-        if self.line_jitter < 0.0:
-            raise ValueError(f"line_jitter must be >= 0, got {self.line_jitter}")
+        if not (self.transfer_r > 0.0 and math.isfinite(self.transfer_r)):
+            raise ValueError(f"transfer_r must be finite and > 0, got {self.transfer_r}")
+        if not (self.f_line > 0.0 and math.isfinite(self.f_line)):
+            raise ValueError(f"f_line must be finite and > 0, got {self.f_line}")
+        if not (self.line_jitter >= 0.0 and math.isfinite(self.line_jitter)):
+            raise ValueError(f"line_jitter must be finite and >= 0, got {self.line_jitter}")
         for mode, f in self.mode_freqs.items():
-            if f <= 0.0:
-                raise ValueError(f"mode {mode} frequency must be > 0, got {f}")
+            if not (f > 0.0 and math.isfinite(f)):
+                raise ValueError(f"mode {mode} frequency must be finite and > 0, got {f}")
 
     def r_for_mode(self, mode):
         """Volts-per-hertz scale for a mode (mV/Hz); amplitude scales with f_mode."""
@@ -242,7 +242,7 @@ def _sample_points(truth, req, tau, rng, drift_state):
 
     heat = truth.heating_for_mode(req.mode)
     env = cached_heating_envelope(n, heat.nbar_dot, tau, heat.fock_cutoff)
-    p1 = 0.5 * (1.0 + env[:, None] * np.cos(acc - req.analyzer_phase))
+    p1 = signal_to_p1(env[:, None] * np.cos(acc - req.analyzer_phase))
     estimate = 2.0 * (outcome_u < p1).mean(axis=1) - 1.0
     return estimate, shot_noise_sigma(estimate, n_sh), drift_state
 
@@ -321,7 +321,7 @@ def monitor_trace(truth, mode, wait_time, duration_s, shot_period,
     acc = acc + TWO_PI * delta * wait_time
     heat = truth.heating_for_mode(mode)
     env = cached_heating_envelope(0, heat.nbar_dot, wait_time, heat.fock_cutoff)
-    p1 = 0.5 * (1.0 + env * np.cos(acc - analyzer_phase))
+    p1 = signal_to_p1(env * np.cos(acc - analyzer_phase))
     outcomes = (rng_shot.random(n_sh) < p1).astype(int)
     return times, outcomes
 
@@ -442,14 +442,8 @@ def scenario_from_dict(obj):
     if mag < 0.0:
         raise SchemaError(f"noise.magnitude_mV must be >= 0, got {mag}")
     r = _need(obj, "transfer_r_mV_per_Hz", (int, float), "scenario")
-    if r <= 0.0:
-        raise SchemaError(f"transfer_r_mV_per_Hz must be > 0, got {r}")
     f_line = _need(obj, "f_line_Hz", (int, float), "scenario")
-    if f_line <= 0.0:
-        raise SchemaError(f"f_line_Hz must be > 0, got {f_line}")
     jitter = _need(obj, "line_jitter_Hz", (int, float), "scenario")
-    if jitter < 0.0:
-        raise SchemaError(f"line_jitter_Hz must be >= 0, got {jitter}")
     burst = _need(obj, "burst_mode", bool, "scenario")
     modes = _need(obj, "modes", dict, "scenario")
     if "X" not in modes:
@@ -460,8 +454,6 @@ def scenario_from_dict(obj):
         if not isinstance(entry, dict):
             raise SchemaError(f"modes.{mode} must be an object")
         freq = _need(entry, "freq_Hz", (int, float), f"modes.{mode}")
-        if freq <= 0.0:
-            raise SchemaError(f"modes.{mode}.freq_Hz must be > 0, got {freq}")
         nbar = _need(entry, "nbar_dot", (int, float), f"modes.{mode}")
         cutoff = entry.get("fock_cutoff", 10)
         if isinstance(cutoff, bool) or not isinstance(cutoff, int):

@@ -8,6 +8,9 @@ full_rho_sequence_signals runs a sequence on the whole (d, d) density matrix
 with the package's full-space pulse unitary and exact propagator; the
 sequence runner, which keeps only the sector the dynamics can reach, must
 match it to rounding.
+dense_heating_dissipator is the heating dissipator as one dense
+(m^2, m^2) matrix on a flattened spin block, the reference the package's
+per-diagonal chains must reproduce.
 multistart_fit_phase is the exception that checks a search, not a formula:
 it minimizes the package's own echo model by brute-force restarts.
 ou_drift_step is the lab's drift recursion one scalar step at a time, the
@@ -173,6 +176,26 @@ def rk4_free_evolution(rho, duration, t_start, amplitude, omega_mod, phases, gam
         rho = rho + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         t += h
     return rho
+
+
+def dense_heating_dissipator(fock_cutoff):
+    """The unit-rate heating dissipator D as a dense (m*m, m*m) matrix, m = fock_cutoff + 1.
+
+    D acts identically on each (m, m) spin block of rho, as a real symmetric
+    matrix on the row-major flattened block: element (n, n') decays at the
+    mean of n + (n+1) and n' + (n'+1) (the truncated top level has no a^dag
+    channel, so just n), and a rho a^dag / a^dag rho a exchange (n, n') with
+    (n+1, n'+1) at weight sqrt((n+1)(n'+1)).
+    """
+    m = fock_cutoff + 1
+    n = np.arange(m, dtype=float)
+    decay = n + np.append(n[1:], 0.0)
+    dmat = np.diag(-0.5 * (decay[:, None] + decay[None, :]).ravel())
+    lower = (np.arange(m - 1)[:, None] * m + np.arange(m - 1)).ravel()
+    weight = np.outer(np.sqrt(n[1:]), np.sqrt(n[1:])).ravel()
+    dmat[lower, lower + m + 1] = weight
+    dmat[lower + m + 1, lower] = weight
+    return dmat
 
 
 def rk4_sequence_signal(n_pulses, tau, amplitude, omega_mod, phases, gamma, fock_cutoff,

@@ -72,6 +72,23 @@ def test_simulate_rejects_bad_scenario(tmp_path):
     assert run("simulate", "--scenario", tmp_path / "missing.json", "--out", tmp_path) == 2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", [("transfer_r_mV_per_Hz",), ("f_line_Hz",), ("line_jitter_Hz",),
+                                  ("modes", "X", "freq_Hz"), ("drift", "tau_c_s")], ids=".".join)
+def test_simulate_rejects_non_finite_scenario_value(tmp_path, capsys, path, value):
+    obj = scenario_to_dict(reference_truth())
+    entry = obj
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = value
+    scenario = tmp_path / "scenario.json"
+    scenario.write_text(json.dumps(obj))  # NaN / Infinity / -Infinity, which json.loads accepts
+    out = tmp_path / "out"
+    assert run("simulate", "--scenario", scenario, "--out", out, "--points", 5, "--shots", 10) == 2
+    assert "scenario" in capsys.readouterr().err
+    assert not (out / "trace.csv").exists()
+
+
 def test_csv_parse_emit_parse_identity(tmp_path):
     assert run("simulate", "--seed", 1, "--points", 15, "--shots", 300,
                "--tau-max", 0.05, "--out", tmp_path) == 0
@@ -283,6 +300,9 @@ def test_figures_figS2_product_scan(tmp_path):
         assert np.allclose(rows[:, 4], rows[:, 2] * rows[:, 3], rtol=0.0, atol=1e-15)
         assert np.allclose(rows[:, 5], np.abs(rows[:, 1] - rows[:, 4]), rtol=0.0, atol=1e-15)
         assert summary[f"n{n}"]["max_abs_diff"] == rows[:, 5].max()
+        # c_heat is the exact envelope, not a master-curve lookup
+        env = qs.heating_envelope(CPSequence(n, 1.0), HeatingModel(cli._FIGS2_NBAR), rows[:, 0])
+        assert np.array_equal(rows[:, 2], env)
     # the echo scan is where the product model breaks by tenths (criterion 5)
     assert summary["n1"]["max_abs_diff"] > 0.1
 

@@ -228,6 +228,20 @@ def test_fit_phase_slope_exact_line():
     assert fit.intercept == pytest.approx(0.2, abs=1e-9)
 
 
+def test_fit_phase_slope_down_weights_outlier():
+    # A huge sigma on one corrupted point removes its influence; with equal
+    # sigmas the same point drags the line off.
+    t_d = np.arange(4) * 1e-3
+    phis = 0.1 + 400.0 * t_d
+    phis[3] += 1.0
+    rows = [(t, p, 0.01) for t, p in zip(t_d, phis)]
+    weighted = fit_phase_slope(rows[:3] + [(t_d[3], phis[3], 1e6)])
+    assert weighted.slope == pytest.approx(400.0, rel=1e-9)
+    assert weighted.intercept == pytest.approx(0.1, abs=1e-9)
+    assert weighted.sigma == pytest.approx(0.01 / math.sqrt(2e-6), rel=1e-6)
+    assert abs(fit_phase_slope(rows).slope - 400.0) > 100.0
+
+
 def test_fit_phase_slope_two_points():
     fit = fit_phase_slope([(0.0, 0.1, 0.01), (0.001, 0.5, 0.01)])
     assert fit.slope == pytest.approx(400.0, rel=1e-12)

@@ -1,8 +1,8 @@
-"""The Levenberg-Marquardt core and the weighted straight-line fit."""
+"""The Levenberg-Marquardt core."""
 import numpy as np
 import pytest
 
-from linecancel.levmar import levenberg_marquardt, weighted_linear_fit
+from linecancel.levmar import levenberg_marquardt
 
 
 def test_linear_problem_recovered_exactly():
@@ -19,9 +19,10 @@ def test_linear_problem_recovered_exactly():
     assert res.cost <= 1e-16
 
     # Covariance of a linear model is exact: inv(J^T J) with J the weighted
-    # design matrix, identical to the closed-form route.
-    _, cov_ref = weighted_linear_fit(x, y, sigma)
-    np.testing.assert_allclose(res.cov, cov_ref, rtol=1e-4)
+    # design matrix, identical to np.polyfit's unscaled covariance (which
+    # orders the parameters slope first).
+    _, cov_ref = np.polyfit(x, y, 1, w=1.0 / sigma, cov="unscaled")
+    np.testing.assert_allclose(res.cov, cov_ref[::-1, ::-1], rtol=1e-4)
 
 
 def test_nonlinear_decay_recovered():
@@ -76,17 +77,3 @@ def test_rejects_bad_start_shape():
     with pytest.raises(ValueError):
         levenberg_marquardt(lambda p: p, np.zeros((2, 2)))
 
-
-def test_weighted_linear_fit_exact_and_weighted():
-    x = np.array([0.0, 1.0, 2.0, 3.0])
-    y = 1.0 + 0.5 * x
-    params, cov = weighted_linear_fit(x, y, np.ones_like(x))
-    np.testing.assert_allclose(params, [1.0, 0.5], rtol=0, atol=1e-12)
-    assert cov.shape == (2, 2)
-
-    # A huge sigma on one corrupted point removes its influence.
-    y_bad = y.copy()
-    y_bad[3] += 100.0
-    sigma = np.array([0.1, 0.1, 0.1, 1e6])
-    params_w, _ = weighted_linear_fit(x, y_bad, sigma)
-    np.testing.assert_allclose(params_w, [1.0, 0.5], rtol=0, atol=1e-3)

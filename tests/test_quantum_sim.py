@@ -118,6 +118,47 @@ def test_phonon_growth_rate():
     assert mean_phonon(rho) == pytest.approx(0.30, rel=0.02)
 
 
+def test_heating_chains_reproduce_dense_dissipator():
+    # D keeps n' - n, so the chains, placed on their diagonals' elements of
+    # the flattened block, must rebuild the whole dense D.
+    for cutoff in range(4, 15):
+        m = cutoff + 1
+        dense = oracles.dense_heating_dissipator(cutoff)
+        n, n_prime = np.indices((m, m))
+        from_chains = np.zeros_like(dense)
+        for k in range(1 - m, m):
+            lam, vec = qs._heating_chain(cutoff, abs(k))
+            idx = np.flatnonzero(n_prime - n == k)  # (n, n+k) in order of n
+            from_chains[np.ix_(idx, idx)] = (vec * lam) @ vec.T
+        assert np.max(np.abs(from_chains - dense)) <= 1e-12, cutoff
+
+
+@pytest.mark.parametrize("cutoff", [4, 10, 14])
+def test_free_evolution_matches_expm_of_dense_dissipator(cutoff):
+    from scipy.linalg import expm
+
+    m = cutoff + 1
+    rng = np.random.default_rng(cutoff)
+    a = rng.normal(size=(3, 2 * m, 2 * m)) + 1j * rng.normal(size=(3, 2 * m, 2 * m))
+    rho = a @ np.swapaxes(a.conj(), -1, -2)
+    rho /= np.trace(rho, axis1=-2, axis2=-1)[:, None, None]
+    heating = HeatingModel(9.0, cutoff)
+    mod = ModulationParams(TWO_PI * 30.0, TWO_PI * 60.0, 0.4)
+    t0, dt = 0.002, 0.013
+
+    # exp(gamma dt D) on every row-major flattened spin block
+    prop = expm(heating.nbar_dot * dt * oracles.dense_heating_dissipator(cutoff))
+    blocks = np.swapaxes(rho.reshape(3, 2, m, 2, m), 2, 3).reshape(3, 2, 2, m * m) @ prop.T
+    heated = np.swapaxes(blocks.reshape(3, 2, 2, m, m), 2, 3).reshape(rho.shape)
+    assert np.max(np.abs(free_evolution(rho, dt, heating=heating, t_start=t0) - heated)) <= 1e-12
+
+    big_phi = mod.amplitude / mod.omega_mod * (
+        math.sin(mod.omega_mod * (t0 + dt) + mod.phase) - math.sin(mod.omega_mod * t0 + mod.phase))
+    v = np.exp(-1j * big_phi * np.tile(np.arange(m), 2))
+    expected = v[:, None] * heated * v.conj()[None, :]
+    assert np.max(np.abs(free_evolution(rho, dt, mod, heating, t_start=t0) - expected)) <= 1e-12
+
+
 def test_integrator_step_halving_is_converged():
     """The exact segment propagator against the independent RK4 oracle.
 

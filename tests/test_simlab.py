@@ -344,6 +344,29 @@ def test_scenario_schema_rejections():
         scenario_from_dict([1, 2, 3])
 
 
+# Every numeric scenario field, as a key path into the schema-v1 dict.
+NUMERIC_FIELDS = (
+    ("transfer_r_mV_per_Hz",), ("f_line_Hz",), ("line_jitter_Hz",),
+    ("modes", "X", "freq_Hz"), ("modes", "Y", "freq_Hz"), ("modes", "X", "nbar_dot"),
+    ("drift", "sigma_f_Hz"), ("drift", "tau_c_s"), ("noise", "magnitude_mV"), ("noise", "angle_deg"),
+)
+
+
+def with_field(obj, path, value):
+    """A copy of the scenario dict with the field at `path` set to value."""
+    if len(path) == 1:
+        return dict(obj, **{path[0]: value})
+    return dict(obj, **{path[0]: with_field(obj[path[0]], path[1:], value)})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("path", NUMERIC_FIELDS, ids=".".join)
+def test_scenario_rejects_non_finite_values(path, value):
+    good = scenario_to_dict(reference_truth())
+    with pytest.raises(SchemaError):
+        scenario_from_dict(with_field(good, path, value))
+
+
 def test_scenario_rejects_invalid_physics():
     good = scenario_to_dict(reference_truth())
     bad = dict(good, modes=dict(good["modes"], X=dict(good["modes"]["X"], nbar_dot=-2.0)))

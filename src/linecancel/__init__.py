@@ -19,6 +19,7 @@ from .model_core import (
     bessel_j0,
     filter_F,
     filter_F_general,
+    signed_filter,
     toggling_value,
 )
 from .phase_oracle import accumulated_phase, accumulated_phase_grid, phase_averaged_signal
@@ -70,6 +71,7 @@ __all__ = [
     "run_sequence",
     "setpoint_scale",
     "shot_noise_sigma",
+    "signed_filter",
     "solve_phasor",
     "toggling_value",
     "__version__",

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levmar import levenberg_marquardt
-from .model_core import TWO_PI, CPSequence, RamseyTrace, bessel_j0, filter_F, filter_F_general
+from .model_core import TWO_PI, CPSequence, RamseyTrace, bessel_j0, signed_filter
 from .phase_oracle import accumulated_phase_grid
 from .quantum_sim import DEFAULT_FOCK_CUTOFF, cached_heating_envelope
 
@@ -106,12 +106,6 @@ def _check_weights(trace):
         raise ValueError("all sigma values are infinite; nothing to fit")
 
 
-def _filter_values(n, omega, tau):
-    if n <= 3:
-        return filter_F(n, omega * tau)
-    return filter_F_general(CPSequence(n, 1.0), omega * tau)
-
-
 def _fit_result(res, params, n_points):
     """FitResult of a levenberg_marquardt result; params in the order of res.x."""
     return FitResult(
@@ -153,7 +147,7 @@ def contrast_model(n, f_m, tau, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     filter values depend on tau only and are computed once; an amplitude
     array shaped (k, 1) gives k curves at once.
     """
-    fvals = _filter_values(n, TWO_PI * f_m, tau)
+    fvals = signed_filter(n, TWO_PI * f_m * tau)
 
     def model(a_hz, nbar_dot):
         env = cached_heating_envelope(n, nbar_dot, tau, fock_cutoff)
@@ -166,11 +160,12 @@ def echo_model(f_m, tau, fock_cutoff=DEFAULT_FOCK_CUTOFF):
     """Line-triggered echo signal on the wait-time grid tau.
 
     Returns model(A_over_2pi, phi_d, nbar_dot) = heating envelope times
-    cos(phi_acc), where phi_acc = (A/omega_m) 4 sin^2(omega_m tau/4)
-    sin(omega_m tau/2 + phi_d) is the echo's accumulated phase and phi_d the
-    modulation phase at the first pi/2 pulse.  phi_acc is taken from
-    accumulated_phase_grid once per grid, at phi_d = 0 and pi/2, and
-    recombined by the sine addition rule on each call.
+    cos(phi_acc), where phi_acc = (A/omega_m) F_1(omega_m tau)
+    sin(omega_m tau/2 + phi_d), F_1 = 4 sin^2(omega_m tau/4), is the echo's
+    accumulated phase and phi_d the modulation phase at the first pi/2 pulse.
+    accumulated_phase_grid evaluates that factored form once per grid, at
+    phi_d = 0 and pi/2, and each call recombines the two by the sine addition
+    rule.
     """
     theta = TWO_PI * f_m * tau
     # The phase accumulated by a tau-long echo at omega equals that of a

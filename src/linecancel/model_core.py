@@ -14,8 +14,9 @@ single tone the phase-averaged fringe contrast is
     C_n(tau) = < cos(phi_n) >_phase = J0((amplitude/omega_mod) * F_n(omega_mod*tau)),
 
 with F_n the sequence filter function.  This module holds the parameter types,
-the toggling function, the filter functions (closed forms for n <= 3 and the
-general signed-segment construction), and the resulting analytic signal.
+the toggling function, the filter functions (closed forms for n <= 3, the
+signed filter for any n, and the general signed-segment construction), and the
+resulting analytic signal.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ __all__ = [
     "toggling_value",
     "filter_F",
     "filter_F_general",
+    "signed_filter",
     "analytic_signal",
     "bessel_j0",
     "signal_to_p1",
@@ -196,8 +198,9 @@ def filter_F(n, theta):
         F_2 = 8 sin^2(theta/8) sin(theta/4)
         F_3 = 4 sin^2(theta/12) (2 cos(theta/3) - 1)
 
-    The sign is irrelevant to the phase-averaged contrast (J0 is even); the
-    general-n construction returns |F|.  For n > 3 use filter_F_general.
+    The sign is irrelevant to the phase-averaged contrast (J0 is even) but
+    not to the accumulated phase; see signed_filter, which extends these to
+    any n.  filter_F_general returns |F|.
     """
     theta = np.asarray(theta, dtype=float)
     if n == 0:
@@ -209,7 +212,7 @@ def filter_F(n, theta):
     elif n == 3:
         out = 4.0 * np.sin(theta / 12.0) ** 2 * (2.0 * np.cos(theta / 3.0) - 1.0)
     else:
-        raise ValueError(f"no closed form for n = {n}; use filter_F_general")
+        raise ValueError(f"no closed form for n = {n}; use signed_filter")
     return float(out) if out.ndim == 0 else out
 
 
@@ -231,6 +234,42 @@ def filter_F_general(seq, omega_mod):
     return float(out) if out.ndim == 0 else out
 
 
+def signed_filter(n, theta):
+    """Signed filter F_n(theta), theta = omega_mod * tau, for any pulse count.
+
+    A CP_n toggling function obeys y_n(tau - t) = (-1)^n y_n(t), so the phase
+    accumulated under one tone factors as
+
+        phi_n = (A/omega) * F_n(theta) * sin(phase + theta/2 + delta_n),
+
+    with delta_0 = pi/2, delta_odd = 0 and delta_even = -pi/2 (n >= 2).  For
+    n <= 3 this is filter_F.  Beyond, with y = theta/(2n),
+
+        F_n = 4 sin^2(theta/(4n)) * R_n(y),
+        R_n = (-1)^((n-1)/2) [1 + 2 sum_{k=1}^{(n-1)/2} (-1)^k cos(2ky)]   (n odd),
+        R_n = 2 sum_{k=1}^{n/2} (-1)^(n/2-k) sin((2k-1)y)                   (n even),
+
+    a finite trigonometric sum with no 0/0 anywhere.  |F_n| is what
+    filter_F_general builds from the segments.
+    """
+    if n <= 3:
+        return filter_F(n, theta)
+    theta = np.asarray(theta, dtype=float)
+    y = theta / (2.0 * n)
+    half = n // 2
+    if n % 2:
+        r = np.ones_like(y)
+        for k in range(1, half + 1):
+            r += (-1) ** k * 2.0 * np.cos(2.0 * k * y)
+        r *= (-1) ** half
+    else:
+        r = np.zeros_like(y)
+        for k in range(1, half + 1):
+            r += (-1) ** (half - k) * 2.0 * np.sin((2.0 * k - 1.0) * y)
+    out = 4.0 * np.sin(theta / (4.0 * n)) ** 2 * r
+    return float(out) if out.ndim == 0 else out
+
+
 def bessel_j0(z):
     """J0(z) for real scalar or array argument, from scipy.special.j0.
 
@@ -247,14 +286,11 @@ def bessel_j0(z):
 def analytic_signal(seq, mod):
     """Phase-averaged contrast C_n(tau) = J0((amplitude/omega) * F_n(omega*tau)).
 
-    Uses the closed-form filter for n <= 3 and the signed-segment construction
-    otherwise.  Lies in [J0's global minimum, 1]; equals 1 exactly wherever the
-    filter vanishes (the revivals).
+    F_n comes from signed_filter (J0 is even, so its sign drops out).  Lies in
+    [J0's global minimum, 1]; equals 1 exactly wherever the filter vanishes
+    (the revivals).
     """
-    if seq.n_pulses <= 3:
-        f_mag = abs(filter_F(seq.n_pulses, mod.omega_mod * seq.tau))
-    else:
-        f_mag = filter_F_general(seq, mod.omega_mod)
+    f_mag = abs(signed_filter(seq.n_pulses, mod.omega_mod * seq.tau))
     return bessel_j0(mod.amplitude / mod.omega_mod * f_mag)
 
 

@@ -1,18 +1,22 @@
 """Exact accumulated phase of a toggled single-tone modulation, and the
 signal shapes built directly from it.
 
-The integral int_0^tau y_n(t) * A cos(omega t + phase) dt is evaluated from
-per-segment antiderivatives, (A/omega) * [sin(omega t + phase)] differences
-with the segment's toggling sign, so the result is exact to rounding.  The
-explicit phase-grid average here is the slow-but-independent cross-check for
-the J0 closed form in model_core: the two must agree, and tests hold them to
-that.
+The integral int_0^tau y_n(t) * A cos(omega t + phase) dt is evaluated in the
+factored form (A/omega) * F_n(omega tau) * sin(phase + omega tau/2 + delta_n)
+derived at model_core.signed_filter: one filter pass and one sine per
+element, exact to rounding, and free of the cancellation a sum of
+per-segment antiderivatives suffers when omega tau << 1.  The independent
+cross-checks, that segment sum and blind quadrature, live in
+tests/oracles.py.  The explicit phase-grid average here is the direct route
+to the phase-averaged contrast that the J0 closed form must reproduce.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from .model_core import signed_filter
 
 __all__ = [
     "accumulated_phase",
@@ -24,8 +28,8 @@ __all__ = [
 def accumulated_phase(seq, mod):
     """phi_n(tau) = int_0^tau y_n(t) * amplitude * cos(omega t + phase) dt.
 
-    Exact, from segment antiderivatives.  Linear in the modulation amplitude.
-    The scalar case of accumulated_phase_grid.
+    Exact, in factored form.  Linear in the modulation amplitude.  The scalar
+    case of accumulated_phase_grid.
     """
     return float(accumulated_phase_grid(seq, mod.amplitude, mod.omega_mod, mod.phase))
 
@@ -33,20 +37,26 @@ def accumulated_phase(seq, mod):
 def accumulated_phase_grid(seq, amplitude, omega_mod, phases):
     """accumulated_phase evaluated for an array of modulation phases at once.
 
-    The integral is (amplitude/omega) * sum over segments of the toggling sign
-    times the difference of sin(omega t + phase) at the segment edges,
-    vectorized over `phases` (and broadcasting against an `omega_mod` array if
-    per-element frequencies are supplied).
+    (amplitude/omega) * F_n(omega tau) * sin(phase + omega tau/2 + delta_n),
+    vectorized over `phases` and broadcasting against `amplitude` and an
+    `omega_mod` array if per-element frequencies are supplied.  Raises
+    ValueError unless every omega_mod is finite and > 0.
     """
     phases = np.asarray(phases, dtype=float)
     omega = np.asarray(omega_mod, dtype=float)
-    if np.any(omega <= 0.0):
-        raise ValueError("omega_mod must be > 0")
-    edges = seq.segment_edges()
-    # (..., n_edges): outer structure from broadcasting phases/omega, inner edges
-    arg = omega[..., None] * edges + phases[..., None]
-    per_segment = np.diff(np.sin(arg), axis=-1)
-    return amplitude / omega * (per_segment @ seq.segment_signs())
+    if not (np.all(np.isfinite(omega)) and np.all(omega > 0.0)):
+        raise ValueError(f"omega_mod must be finite and > 0, got {omega_mod}")
+    n = seq.n_pulses
+    theta = omega * seq.tau
+    arg = phases + 0.5 * theta
+    # delta_n as exact quadratures: sin(x + pi/2) = cos x, sin(x - pi/2) = -cos x
+    if n % 2:
+        wave = np.sin(arg)
+    elif n == 0:
+        wave = np.cos(arg)
+    else:
+        wave = -np.cos(arg)
+    return amplitude / omega * signed_filter(n, theta) * wave
 
 
 def phase_averaged_signal(seq, mod, n_phases=4096):

@@ -91,8 +91,9 @@ class TrialRecord:
     def __post_init__(self):
         if self.residual_amplitude < 0.0 or not math.isfinite(self.residual_amplitude):
             raise ValueError(f"residual amplitude must be finite and >= 0, got {self.residual_amplitude}")
-        if self.residual_sigma is not None and self.residual_sigma <= 0.0:
-            raise ValueError(f"residual sigma must be > 0, got {self.residual_sigma}")
+        sigma = self.residual_sigma
+        if sigma is not None and not (math.isfinite(sigma) and sigma > 0.0):
+            raise ValueError(f"residual sigma must be finite and > 0, got {sigma}")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Independent numerical oracles used only by the test suite.
 
 Everything here deliberately avoids the closed forms used by the package:
-integrals are evaluated by adaptive Simpson quadrature, and density-matrix
-free evolution by fixed-step RK4 on the master equation, so that agreement
-between package and oracle is evidence, not tautology.
+integrals are evaluated by adaptive quadrature (Simpson, and scipy's quad for
+the outer phase average), and density-matrix free evolution by fixed-step RK4
+on the master equation, so that agreement between package and oracle is
+evidence, not tautology.
+segment_sum_phase_grid is the accumulated phase as a sum of per-segment
+antiderivatives, the reference for the package's factored form.
 full_rho_sequence_signals runs a sequence on the whole (d, d) density matrix
 with the package's full-space pulse unitary and exact propagator; the
 sequence runner, which keeps only the sector the dynamics can reach, must
@@ -21,6 +24,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.integrate import quad
 
 
 def adaptive_simpson(f, a, b, tol=1e-11, max_depth=48):
@@ -75,6 +79,23 @@ def toggled_phase_quadrature(n, tau, amplitude, omega, phase, tol=1e-12):
     return total
 
 
+def segment_sum_phase_grid(seq, amplitude, omega_mod, phases):
+    """Accumulated phase from per-segment antiderivatives, vectorized.
+
+    (amplitude/omega) * sum over segments of the toggling sign times the
+    difference of sin(omega t + phase) at the segment edges; same signature
+    and broadcasting as phase_oracle.accumulated_phase_grid, which evaluates
+    the factored form instead.  Exact in exact arithmetic; in floating point
+    the edge differences cancel when omega * tau << 1.
+    """
+    phases = np.asarray(phases, dtype=float)
+    omega = np.asarray(omega_mod, dtype=float)
+    edges = np.concatenate(([0.0], pulse_times(seq.n_pulses, seq.tau), [seq.tau]))
+    signs = (-1.0) ** np.arange(seq.n_pulses + 1)
+    arg = omega[..., None] * edges + phases[..., None]
+    return amplitude / omega * (np.diff(np.sin(arg), axis=-1) @ signs)
+
+
 def filter_magnitude_quadrature(n, tau, omega, tol=1e-12):
     """|int_0^tau y_n(t) e^(i omega t) dt| * omega by per-segment Simpson."""
     edges = segment_edges(n, tau)
@@ -88,13 +109,21 @@ def filter_magnitude_quadrature(n, tau, omega, tol=1e-12):
     return math.hypot(re, im) * omega
 
 
-def phase_average_quadrature(n, tau, amplitude, omega, tol=1e-10):
-    """Average of cos(accumulated phase) over the modulation phase, by quadrature."""
+def phase_average_quadrature(n, tau, amplitude, omega, epsabs=1e-12):
+    """Average of cos(accumulated phase) over the modulation phase, by quadrature.
+
+    The inner time integral is blind Simpson (toggled_phase_quadrature); the
+    outer integral over one period of the phase is scipy's adaptive
+    Gauss-Kronrod quad, which converges on the smooth periodic integrand in
+    a few hundred inner evaluations where nested Simpson needs tens of
+    thousands.
+    """
 
     def integrand(phase):
         return math.cos(toggled_phase_quadrature(n, tau, amplitude, omega, phase))
 
-    return adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol) / (2.0 * math.pi)
+    total, _ = quad(integrand, 0.0, 2.0 * math.pi, epsabs=epsabs)
+    return total / (2.0 * math.pi)
 
 
 # Fixed-step RK4 step control.  The hard ceiling resolves the fastest process

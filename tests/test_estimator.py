@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from linecancel.estimator import (
-    _filter_values,
     fit_amplitude,
     fit_gaussian_envelope,
     fit_phase,
@@ -26,6 +25,7 @@ from linecancel.model_core import (
     bessel_j0,
     filter_F,
     filter_F_general,
+    signed_filter,
 )
 from linecancel.quantum_sim import cached_heating_envelope
 from linecancel.simlab import SimLab, reference_truth
@@ -83,15 +83,15 @@ def test_fit_amplitude_random_noiseless_draws():
 
 @pytest.mark.parametrize("n", [4, 5])
 def test_filter_values_vectorized_for_higher_n(n):
-    # Beyond the closed forms, one array call on the unit-length sequence
-    # replaces a per-tau loop: F_n(omega tau) depends on omega * tau only.
+    # Beyond the closed forms, one array call over omega * tau gives the
+    # contrast model's filter values; their magnitude is the segment |F|.
     omega = TWO_PI * 60.0
     tau = np.linspace(0.1 / 48, 0.1, 48)
-    values = _filter_values(n, omega, tau)
-    per_tau = [filter_F_general(CPSequence(n, 1.0), omega * t) for t in tau]
+    values = signed_filter(n, omega * tau)
+    per_tau = [signed_filter(n, omega * t) for t in tau]
     assert np.array_equal(values, per_tau)
     per_sequence = [filter_F_general(CPSequence(n, float(t)), omega) for t in tau]
-    assert np.allclose(values, per_sequence, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.abs(values), per_sequence, rtol=0.0, atol=1e-12)
 
 
 def test_fit_amplitude_recovers_four_pulse_trace():

@@ -13,6 +13,7 @@ from linecancel.model_core import (
     analytic_signal,
     filter_F,
     filter_F_general,
+    signed_filter,
     p1_to_signal,
     signal_to_p1,
     toggling_value,
@@ -114,6 +115,16 @@ def test_filter_five_pulse_zero_at_pi():
     omega = math.pi / tau
     assert filter_F_general(CPSequence(5, tau), omega) <= 1e-12
     assert oracles.filter_magnitude_quadrature(5, tau, omega) <= 1e-10
+
+
+def test_signed_filter_extends_closed_forms():
+    theta = np.linspace(1e-3, 300.0, 2001)
+    for n in range(0, 4):
+        assert np.array_equal(signed_filter(n, theta), filter_F(n, theta))
+    for n in range(4, 9):
+        general = filter_F_general(CPSequence(n, 1.0), theta)
+        assert np.max(np.abs(np.abs(signed_filter(n, theta)) - general)) <= 1e-12, n
+    assert isinstance(signed_filter(6, 2.5), float)
 
 
 def test_filter_closed_form_rejects_large_n():

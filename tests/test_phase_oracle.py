@@ -1,13 +1,17 @@
 """Exact accumulated phase and its phase-grid averages.
 
-The quadrature routes in oracles.py integrate y(t) * A cos(omega t + phi)
-numerically; the module under test uses segment antiderivatives.  Agreement
-between the two is evidence, not tautology.
+The module under test evaluates the factored form
+(A/omega) F_n(omega tau) sin(phase + omega tau/2 + delta_n).  The references
+in oracles.py take other routes: the per-segment antiderivative sum, and
+quadrature that integrates y(t) * A cos(omega t + phi) numerically.
+Agreement between them is evidence, not tautology.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linecancel.model_core import TWO_PI, CPSequence, ModulationParams, analytic_signal
 from linecancel.phase_oracle import (
@@ -80,6 +84,50 @@ def test_grid_form_rejects_nonpositive_frequency():
         accumulated_phase_grid(CPSequence(1, 0.01), 10.0, 0.0, np.array([0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_grid_form_rejects_non_finite_frequency(bad):
+    seq = CPSequence(2, 0.01)
+    with pytest.raises(ValueError, match="finite"):
+        accumulated_phase_grid(seq, 10.0, bad, np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="finite"):
+        accumulated_phase_grid(seq, 10.0, np.array([377.0, bad]), np.array([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(0, 8),
+    theta=st.floats(1e-6, 2000.0, exclude_min=True),
+    amp_over_omega=st.floats(1e-3, 1e3),
+    phase=st.floats(0.0, 2.0 * math.pi),
+    shape=st.sampled_from(["scalar", "phases", "omega", "both"]),
+)
+def test_factored_form_matches_segment_sum(n, theta, amp_over_omega, phase, shape):
+    """Factored form vs the per-segment antiderivative sum, any n, any shape."""
+    seq = CPSequence(n, 1.0)
+    omega, phases = theta, phase
+    if shape in ("phases", "both"):
+        phases = phase + np.linspace(0.0, 2.0 * math.pi, 7)
+    if shape in ("omega", "both"):
+        omega = theta * np.linspace(0.5, 1.0, 3)[:, None]
+    amplitude = amp_over_omega * theta
+    ours = accumulated_phase_grid(seq, amplitude, omega, phases)
+    ref = oracles.segment_sum_phase_grid(seq, amplitude, omega, phases)
+    assert np.shape(ours) == np.shape(ref)
+    scale = amplitude / np.asarray(omega) * (1.0 + np.asarray(omega) * seq.tau)
+    assert np.all(np.abs(ours - ref) <= 1e-13 * (n + 2) * scale)
+
+
+@pytest.mark.parametrize("phase", [0.7, 2.0, 4.0])
+def test_small_theta_phase_keeps_relative_accuracy(phase):
+    # omega tau = 3.8e-4: the segment antiderivatives are differences of
+    # nearly equal sines, which cost the segment sum ~1e-4 relative here;
+    # the factored form keeps every digit the quadrature resolves.
+    n, tau = 2, 1e-6
+    mod = ModulationParams.from_hz(50.0, 60.0, phase)
+    ref = oracles.toggled_phase_quadrature(n, tau, mod.amplitude, mod.omega_mod, phase, tol=1e-20)
+    assert accumulated_phase(CPSequence(n, tau), mod) == pytest.approx(ref, rel=1e-6, abs=0.0)
+
+
 # ------------------------------------------------------------ phase average
 
 
@@ -113,7 +161,7 @@ def test_phase_average_small_grid_rejected():
 
 
 def test_phase_average_agrees_with_closed_form_across_draws():
-    """Dual route: explicit phase-grid mean vs the J0 closed form."""
+    """Dual route: phase-grid mean of the segment-sum phases vs the J0 closed form."""
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(500):
@@ -121,7 +169,9 @@ def test_phase_average_agrees_with_closed_form_across_draws():
         tau = rng.uniform(0.001, 0.2)
         mod = ModulationParams.from_hz(rng.uniform(1.0, 200.0), rng.uniform(40.0, 80.0))
         seq = CPSequence(n, tau)
-        diff = abs(phase_averaged_signal(seq, mod) - analytic_signal(seq, mod))
+        grid = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        phases = oracles.segment_sum_phase_grid(seq, mod.amplitude, mod.omega_mod, grid)
+        diff = abs(np.mean(np.cos(phases)) - analytic_signal(seq, mod))
         worst = max(worst, diff)
     assert worst <= 1e-9
 

@@ -77,6 +77,14 @@ def test_trial_record_validation():
     assert TrialRecord(Phasor(1.0, 0.0), 1.0).residual_sigma is None
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_trial_record_rejects_non_finite_sigma(sigma):
+    # NaN used to surface later as a DegenerateDataError, +inf to drop the
+    # trial from the IRLS weights without a word.
+    with pytest.raises(ValueError, match="finite"):
+        TrialRecord(Phasor(1.0, 0.0), 1.0, residual_sigma=sigma)
+
+
 def test_compensation_is_noise_rotated_half_turn():
     sol = CancelSolution(Phasor(14.0, 1.0), 0.38, 0.0)
     assert sol.compensation.magnitude == 14.0
